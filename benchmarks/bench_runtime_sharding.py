@@ -11,10 +11,10 @@ What the executors can and cannot show in one container: sharding is a
 *distribution* mechanism — total kernel work is constant — so serial rows
 measure partitioning/merge overhead staying small; thread rows measure how
 much of the kernel time runs with the GIL released; process rows measure the
-full scale-out path (persistent workers, pipe protocol, shared-memory
-arenas), whose speedup is bounded by ``cpu_count`` — on a single-core
+full scale-out path (persistent workers, socket frames, shared-memory
+arenas), whose speedup is bounded by the core count — on a single-core
 runner the process rows price the IPC overhead instead (the recorded
-``cpu_count`` says which reading you are looking at).
+``host.nproc`` says which reading you are looking at).
 
 Standalone (no pytest-benchmark dependency) so CI can smoke-run it::
 
@@ -140,6 +140,29 @@ def measure(
     }
 
 
+def host_block() -> dict:
+    """CPU model, usable cores, Python and numpy of the measuring host."""
+    cpu_model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fp:
+            for line in fp:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:
+        nproc = os.cpu_count()
+    return {
+        "cpu_model": cpu_model,
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def _plan(quick: bool):
     """(n_tags, n_shards, executor, timed_epochs) rows to measure."""
     timed = 3 if quick else 10
@@ -198,13 +221,11 @@ def main() -> None:
             "measure partitioning+merge overhead (total kernel work is "
             "constant in-process); thread rows measure GIL-released kernel "
             "concurrency; process rows measure the worker-process scale-out "
-            "path, whose speedup ceiling is cpu_count (on a 1-core runner "
+            "path, whose speedup ceiling is host.nproc (on a 1-core runner "
             "they price the IPC overhead instead)."
         ),
         "quick": bool(args.quick),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
+        "host": host_block(),
         "results": results,
     }
     if not args.no_write:

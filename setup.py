@@ -1,5 +1,8 @@
-"""Legacy setup shim: lets ``pip install -e .`` work on toolchains without
-the ``wheel`` package (metadata lives in pyproject.toml)."""
+"""Package metadata: ``pip install -e .`` installs ``repro`` from ``src/``.
+
+This file is the only build configuration (there is no pyproject.toml).
+The runtime needs only numpy; the test suite also needs pytest and
+hypothesis."""
 
 from setuptools import find_packages, setup
 

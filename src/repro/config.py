@@ -373,7 +373,7 @@ class SupervisorConfig:
     backoff_base_s: float = 0.05
     #: Ceiling for the exponential backoff between restarts.
     backoff_cap_s: float = 2.0
-    #: Deadline for a single worker pipe op (send→reply).  A worker whose
+    #: Deadline for a single worker op (send→reply).  A worker whose
     #: heartbeats still flow but whose reply misses this deadline is
     #: declared hung (:class:`~repro.errors.WorkerTimeout`) and recycled.
     op_timeout_s: float = 30.0
@@ -427,10 +427,10 @@ class RuntimeConfig:
     #: land on one shard).
     partitioner: str = "hash"
     #: How shards advance within one epoch: ``"serial"`` steps them in order
-    #: in the calling thread; ``"thread"`` steps them concurrently in a
-    #: thread pool (the numpy kernels release the GIL); ``"process"`` steps
-    #: them on persistent worker processes (``repro.runtime.workers``) —
-    #: routed reads and emitted events cross pipes, belief arenas live in
+    #: in the calling thread; ``"thread"`` steps them concurrently, one
+    #: thread per shard (the numpy kernels release the GIL); ``"process"``
+    #: steps them on persistent worker processes (``repro.runtime.workers``) —
+    #: routed reads and emitted events cross sockets, belief arenas live in
     #: per-worker shared memory, and the GIL stops being the scaling limit.
     #: Output is identical across executors at equal shard counts — shards
     #: share no mutable state and the merge is deterministic.

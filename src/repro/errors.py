@@ -45,7 +45,7 @@ class WorkerError(InferenceError):
 class WorkerTimeout(WorkerError):
     """A shard worker is alive (heartbeats flow) but an op missed its deadline.
 
-    Distinguished from :class:`WorkerError` (dead pipe / missing
+    Distinguished from :class:`WorkerError` (dead link / missing
     heartbeats) so supervisors can treat a hung-but-alive worker as a
     kill-and-respawn case rather than a crashed one.
     """

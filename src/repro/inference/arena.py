@@ -50,7 +50,7 @@ segment (:class:`SharedSlab`) instead of private heap pages.  The process
 executor's workers use this so the parent process can *read* belief state —
 attach with :func:`attach_shared_slab` using the ``(name, capacity, dtype)``
 triple from :meth:`BeliefArena.shared_segment` — without any array crossing
-a pipe.
+the worker link.
 Growing allocates a fresh segment and unlinks the old one, so a reader must
 re-attach whenever the advertised segment changes; :meth:`release` frees the
 segment at worker teardown (shared slabs are not reclaimed by the garbage
@@ -178,6 +178,60 @@ def attach_shared_slab(name: str, capacity: int, dtype: str = "float64") -> Shar
     arena (re-request the current segment) or released it (worker gone).
     """
     return SharedSlab(capacity, name=name, create=False, dtype=dtype)
+
+
+class BeliefView:
+    """Read-only per-object access over a slot table and three columns.
+
+    The one belief-read surface every shard offers (``arena_view()``): over
+    a live arena (:meth:`BeliefArena.view` — zero-copy, valid until the
+    arena next mutates), over a worker's attached :class:`SharedSlab`
+    (``slab`` is then detached by :meth:`close`), or over arrays fetched
+    off-host.  ``slots`` maps object id → ``(start, count)`` into the
+    columns.
+    """
+
+    def __init__(
+        self,
+        slots: Dict[int, Tuple[int, int]],
+        positions: np.ndarray,
+        parents: np.ndarray,
+        log_weights: np.ndarray,
+        slab: Optional[SharedSlab] = None,
+    ):
+        self.slots = slots
+        self._positions = positions
+        self._parents = parents
+        self._log_weights = log_weights
+        self._slab = slab
+
+    def object_ids(self) -> List[int]:
+        return list(self.slots)
+
+    def _slice(self, object_id: int) -> slice:
+        try:
+            start, count = self.slots[object_id]
+        except KeyError:
+            raise InferenceError(
+                f"object {object_id} has no block in this belief view"
+            ) from None
+        return slice(start, start + count)
+
+    def positions(self, object_id: int) -> np.ndarray:
+        return self._positions[self._slice(object_id)]
+
+    def parents(self, object_id: int) -> np.ndarray:
+        return self._parents[self._slice(object_id)]
+
+    def log_weights(self, object_id: int) -> np.ndarray:
+        return self._log_weights[self._slice(object_id)]
+
+    def close(self) -> None:
+        """Detach an attached slab (no-op for live and fetched views)."""
+        slab, self._slab = self._slab, None
+        if slab is not None:
+            self._positions = self._parents = self._log_weights = None
+            slab.close()
 
 
 class BeliefArena:
@@ -382,6 +436,13 @@ class BeliefArena:
         """Copy of the object-id -> (start, count) block map, for readers
         interpreting the shared slab from another process."""
         return dict(self._slots)
+
+    def view(self) -> BeliefView:
+        """Zero-copy :class:`BeliefView` of the live arena (nothing is
+        copied, not even the slot table; valid until the next mutation)."""
+        return BeliefView(
+            self._slots, self._positions, self._parents, self._log_weights
+        )
 
     def release(self) -> None:
         """Free the shared-memory segment (no-op for private arenas).

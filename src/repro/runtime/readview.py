@@ -1,16 +1,17 @@
-"""Snapshot-isolated, zero-copy belief reads for the query layer.
+"""Snapshot-isolated belief reads for the query layer.
 
 A :class:`RuntimeReadView` is an epoch-stamped window onto every shard's
-belief arena:
+belief arena, built from each shard's ``arena_view()`` — one
+:class:`~repro.inference.arena.BeliefView` per shard:
 
-* **in-process shards** (serial/thread executors) — per-object accessors
-  return numpy slices straight into the shard's
-  :class:`~repro.inference.arena.BeliefArena` slab;
-* **process shards** — accessors go through
-  :meth:`~repro.runtime.workers.ShardWorkerProxy.arena_view`, a parent-side
-  attachment of the worker's shared-memory slab.
+* **in-process shards** (serial/thread executors) — numpy slices straight
+  into the shard's live :class:`~repro.inference.arena.BeliefArena` (no
+  copy, not even of the slot table);
+* **local worker shards** (process executor) — slices into a parent-side
+  attachment of the worker's shared-memory slab (no copy either);
+* **remote worker shards** — slices into blocks fetched over the link.
 
-Either way no particle data is copied.  The view is stamped with
+The view is stamped with
 ``runtime.epochs_processed`` at creation: workers only mutate their slabs
 while serving a step, so between steps every read is a consistent snapshot
 of the same epoch.  Accessing a view after the runtime has advanced raises
@@ -26,29 +27,21 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import InferenceError, StateError
+from ..inference.arena import BeliefView
 
 
 class RuntimeReadView:
-    """Epoch-stamped zero-copy read access to every shard's beliefs."""
+    """Epoch-stamped read access to every shard's beliefs."""
 
     def __init__(self, runtime):
         self._runtime = runtime
         #: The stream offset this view is a snapshot of.
         self.epoch = int(runtime.epochs_processed)
         self._closed = False
-        self._views: List[Optional[object]] = []
-        self._owned: List[bool] = []
+        self._views: List[Optional[BeliefView]] = []
         try:
             for shard in runtime.shards:
-                if hasattr(shard, "arena_view"):
-                    # Process executor: attach the worker's shared slab.
-                    self._views.append(shard.arena_view())
-                    self._owned.append(True)
-                else:
-                    # In-process shard: read the live arena directly (not
-                    # owned — closing it would tear down the engine's slab).
-                    self._views.append(getattr(shard.engine, "arena", None))
-                    self._owned.append(False)
+                self._views.append(shard.arena_view())
         except BaseException:
             self.close()
             raise
@@ -112,8 +105,7 @@ class RuntimeReadView:
         if self._closed:
             return
         self._closed = True
-        for view, owned in zip(self._views, self._owned):
-            if owned and view is not None:
+        for view in self._views:
+            if view is not None:
                 view.close()
         self._views = []
-        self._owned = []

@@ -9,11 +9,13 @@ derived deterministically from the root seed.  Per epoch the runtime:
 1. **routes** — splits the epoch's object-tag reads by shard ownership
    while broadcasting the reader pose and shelf-tag reads to every shard
    (:class:`~repro.runtime.router.EpochRouter`);
-2. **steps** — advances every shard: serially, on a thread pool (the shards
-   share no mutable state; the numpy kernels release the GIL), or on
-   persistent worker *processes* (:mod:`~repro.runtime.workers`) that
-   sidestep the GIL entirely — routed reads go out and emitted events come
-   back over pipes, belief state stays in per-worker shared-memory slabs;
+2. **steps** — advances every shard through one split-phase surface
+   (``step_async`` to all, then ``collect_events`` from all): inline, on a
+   per-shard thread (the shards share no mutable state; the numpy kernels
+   release the GIL), or on persistent worker *processes*
+   (:mod:`~repro.runtime.workers`) that sidestep the GIL entirely — routed
+   reads go out and emitted events come back as struct-packed frames over
+   one socket per worker, local or remote;
 3. **merges** — streams every shard's emitted events onto the
    :class:`~repro.runtime.bus.EventBus` via a ``(time, tag)``-keyed k-way
    merge of the per-shard (already time-ordered) event lists.
@@ -33,14 +35,12 @@ import heapq
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from ..errors import InferenceError, StateError, WorkerError
 from ..inference.estimates import LocationEstimate
-from ..inference.factored import FactoredParticleFilter
 from ..inference.pipeline import InferenceEngine
 from ..models.joint import RFIDWorldModel
 from ..streams.records import Epoch, LocationEvent
@@ -49,7 +49,7 @@ from .bus import EventBus
 from .partition import shard_seed
 from .router import EpochRouter
 from .shard import FilterShard
-from .workers import ShardWorkerProxy
+from .workers import FactoredEngineFactory, ShardWorkerProxy
 
 #: Builds one shard's engine from its (re-seeded) inference config.
 EngineFactory = Callable[[InferenceConfig], InferenceEngine]
@@ -102,78 +102,31 @@ class ShardedRuntime:
         self.runtime_config = runtime
         self.policy = policy
         self.initial_heading = float(initial_heading)
-        #: Kept for worker respawns (the supervisor re-forks a shard with
-        #: exactly the construction-time factory and re-seeded config).
+        #: Kept for shard respawns and live re-shards: every shard is built
+        #: from exactly this factory and its re-seeded config.
         self._engine_factory = engine_factory
         self.router = EpochRouter(runtime.n_shards, runtime.partitioner)
         self.bus = bus if bus is not None else EventBus()
         self.sink: EventSink = sink if sink is not None else CollectingSink()
         self.bus.subscribe_sink(self.sink)
-        #: True for both worker-backed executors ("process" forks local
-        #: workers behind pipes; "remote" connects to `repro shard-host`
-        #: pools over TCP) — they share the whole proxy protocol.
-        self._process = runtime.executor in ("process", "remote")
+        self.shards: List = []
+        try:
+            for index in range(runtime.n_shards):
+                self.shards.append(self.spawn_shard(index))
+        except BaseException:
+            for shard in self.shards:
+                shard.close(force=True)
+            raise
         #: Self-healing layer (``repro.runtime.supervisor``): present only
         #: when RuntimeConfig.supervisor is set AND the executor is
         #: worker-backed — in-process shards cannot crash independently.
         self._supervisor = None
-        if self._process:
-            # Persistent workers, one per shard, each owning a FilterShard
-            # built from the same re-seeded config the local executors
-            # would use — output parity is exact.  A custom engine_factory
-            # is forwarded (it must be picklable under a spawn start
-            # method or a remote boot; anything goes under fork).
-            self.shards: List = []
-            try:
-                for index in range(runtime.n_shards):
-                    self.shards.append(self.spawn_worker(index))
-            except BaseException:
-                for proxy in self.shards:
-                    proxy.close(force=True)
-                raise
-            if runtime.supervisor is not None:
-                from .supervisor import ShardSupervisor  # deferred: no cycle
+        worker_backed = runtime.executor in ("process", "remote")
+        if runtime.supervisor is not None and worker_backed:
+            from .supervisor import ShardSupervisor  # deferred: no cycle
 
-                self._supervisor = ShardSupervisor(self, runtime.supervisor)
-        else:
-            factory: EngineFactory = (
-                engine_factory
-                if engine_factory is not None
-                else lambda cfg: FactoredParticleFilter(
-                    model, cfg, initial_heading=initial_heading
-                )
-            )
-            #: Kept so a live reshard() can build in-process shards from
-            #: the same recipe the constructor used.
-            self._inproc_factory = factory
-            self.shards = [
-                FilterShard(
-                    index,
-                    factory(
-                        replace(
-                            config,
-                            seed=shard_seed(config.seed, index, runtime.n_shards),
-                        )
-                    ),
-                    policy,
-                )
-                for index in range(runtime.n_shards)
-            ]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if runtime.executor == "thread" and runtime.n_shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=runtime.n_shards,
-                thread_name_prefix="repro-shard",
-            )
+            self._supervisor = ShardSupervisor(self, runtime.supervisor)
         self._finished = False
-        #: Post-finish query caches for the process executor: ``finish()``
-        #: retires the workers, so it first captures each shard's stats,
-        #: known objects, and final estimates (one bulk reply per worker) —
-        #: the runtime stays queryable after the run exactly like the
-        #: in-process executors, whose shards simply outlive the run.
-        self._final_stats: Optional[List[Dict[str, float]]] = None
-        self._final_known: Optional[set] = None
-        self._final_estimates: Optional[Dict[int, LocationEstimate]] = None
         #: Epochs processed — also the stream offset recorded in checkpoints
         #: (resume seeks the epoch source to this index).
         self.epochs_processed = 0
@@ -206,7 +159,7 @@ class ShardedRuntime:
         self.last_checkpoint_walltime: Optional[float] = None
         #: Re-entrancy latch for abort(): a second abort arriving while the
         #: first is mid-teardown (e.g. a repeated signal) becomes a no-op
-        #: instead of double-closing executors or the bus.
+        #: instead of double-closing shards or the bus.
         self._aborting = False
         #: Live-migration counters (:meth:`reshard`), surfaced in the serve
         #: STATS document's ``resharding`` block.
@@ -214,55 +167,48 @@ class ShardedRuntime:
         self.last_reshard_ms: Optional[float] = None
         self.migrated_objects_total = 0
 
-    def spawn_worker(self, index: int):
-        """Start one shard worker from the construction-time recipe.
+    def spawn_shard(self, index: int):
+        """Build shard ``index`` of the current layout from the
+        construction-time recipe.
 
-        Used at construction and by the supervisor to respawn a dead or
-        hung worker — determinism lives in the re-seeded config, so a
-        respawned worker restored from a checkpoint is byte-identical to
-        the one it replaces.  ``executor="process"`` forks a local worker;
-        ``executor="remote"`` connects to ``shard_hosts[index % len]``
-        (a reconnect boots a fresh worker there, so a remote respawn heals
-        exactly like a local one).
+        Used at construction, by live re-sharding, and by the supervisor
+        to respawn a dead or hung worker — determinism lives in the
+        re-seeded config, so a respawned worker restored from a checkpoint
+        is byte-identical to the one it replaces.  ``serial`` / ``thread``
+        build an in-process :class:`FilterShard`; ``process`` forks a local
+        worker; ``remote`` boots one on ``shard_hosts[index % len]`` (a
+        reconnect boots a fresh worker there, so a remote respawn heals
+        exactly like a local one).  A custom ``engine_factory`` must be
+        picklable for a remote boot or a ``spawn`` start.
         """
-        supervisor_config = self.runtime_config.supervisor
-        kwargs = dict(
-            initial_heading=self.initial_heading,
-            engine_factory=self._engine_factory,
-            op_timeout_s=(
-                supervisor_config.op_timeout_s
-                if supervisor_config is not None
-                else None
-            ),
-            heartbeat_interval_s=(
-                supervisor_config.heartbeat_interval_s
-                if supervisor_config is not None
-                else None
-            ),
-            heartbeat_grace_s=(
-                supervisor_config.heartbeat_grace_s
-                if supervisor_config is not None
-                else None
-            ),
-        )
+        runtime = self.runtime_config
         config = replace(
             self.config,
-            seed=shard_seed(self.config.seed, index, self.runtime_config.n_shards),
+            seed=shard_seed(self.config.seed, index, runtime.n_shards),
         )
-        if self.runtime_config.executor == "remote":
-            from .transport import RemoteShardProxy  # deferred: no cycle
-
-            hosts = self.runtime_config.shard_hosts
-            return RemoteShardProxy(
+        factory = self._engine_factory or FactoredEngineFactory(
+            self.model,
+            self.initial_heading,
+            # Only a local worker's parent can attach a shared slab.
+            shared_arena=runtime.executor == "process",
+        )
+        if runtime.executor in ("serial", "thread"):
+            return FilterShard(
                 index,
-                self.model,
-                config,
+                factory(config),
                 self.policy,
-                endpoint=hosts[index % len(hosts)],
-                **kwargs,
+                threaded=runtime.executor == "thread" and runtime.n_shards > 1,
             )
+        hosts = runtime.shard_hosts
         return ShardWorkerProxy(
-            index, self.model, config, self.policy, **kwargs
+            index,
+            config,
+            self.policy,
+            factory,
+            endpoint=(
+                hosts[index % len(hosts)] if runtime.executor == "remote" else None
+            ),
+            supervisor=runtime.supervisor,
         )
 
     @property
@@ -293,10 +239,10 @@ class ShardedRuntime:
         self.query_engines[name] = engine
 
     def read_view(self):
-        """Epoch-stamped zero-copy view of every shard's beliefs.
+        """Epoch-stamped view of every shard's beliefs.
 
         See :class:`~repro.runtime.readview.RuntimeReadView`; the caller
-        must ``close()`` it (process executors attach shared memory).
+        must ``close()`` it (local workers' slabs are attached).
         """
         from .readview import RuntimeReadView  # deferred: no cycle
 
@@ -309,8 +255,6 @@ class ShardedRuntime:
 
     def known_objects(self) -> List[int]:
         """Sorted union of every shard's known objects."""
-        if self._final_known is not None:
-            return sorted(self._final_known)
         known: set = set()
         for shard in self.shards:
             known.update(shard.known_objects())
@@ -318,60 +262,48 @@ class ShardedRuntime:
 
     def object_estimate(self, number: int) -> LocationEstimate:
         """Delegate to the shard that owns the tag."""
-        if self._final_estimates is not None:
-            try:
-                return self._final_estimates[number]
-            except KeyError:
-                raise InferenceError(f"unknown object {number}") from None
         shard = self.shards[self.router.shard_of(number)]
         return shard.object_estimate(number)
 
     def shard_stats(self) -> List[Dict[str, float]]:
-        if self._final_stats is not None:
-            return [dict(row) for row in self._final_stats]
         return [shard.stats() for shard in self.shards]
 
     # ------------------------------------------------------------------
     def step(self, epoch: Epoch) -> None:
-        """Route one epoch to every shard, then merge onto the bus."""
+        """Route one epoch to every shard, then merge onto the bus.
+
+        Every shard receives its sub-epoch before any reply is awaited, so
+        worker (and threaded) shards compute concurrently.  A worker that
+        dies or hangs mid-step is healed by the supervisor, whose recovery
+        returns exactly the events the step would have produced; without
+        one the first failure propagates.
+        """
         if self._finished:
             raise InferenceError("runtime already finished")
-        if self._process:
-            # Routed reads + broadcast pose out, events back: all workers
-            # receive their sub-epoch before any reply is awaited, so the
-            # shards compute concurrently across processes.
-            buckets = self.router.split_numbers(epoch)
-            shelf_numbers = [tag.number for tag in epoch.shelf_tags]
-            if self._supervisor is not None:
-                per_shard = self._supervisor.step_shards(
-                    epoch, buckets, shelf_numbers
+        sub_epochs = self.router.split(epoch)
+        failures: Dict[int, WorkerError] = {}
+        for index, (shard, sub) in enumerate(zip(self.shards, sub_epochs)):
+            try:
+                shard.step_async(sub)
+            except WorkerError as exc:
+                failures[index] = exc
+        per_shard: List[List[LocationEvent]] = []
+        for index, shard in enumerate(self.shards):
+            events: List[LocationEvent] = []
+            if index not in failures:
+                try:
+                    events = shard.collect_events()
+                except WorkerError as exc:
+                    failures[index] = exc
+            per_shard.append(events)
+        if failures and self._supervisor is None:
+            raise failures[min(failures)]
+        if self._supervisor is not None:
+            for index in sorted(failures):
+                per_shard[index] = self._supervisor.recover(
+                    index, failures[index], sub_epochs[index]
                 )
-            else:
-                for shard, numbers in zip(self.shards, buckets):
-                    shard.step_async(
-                        epoch.time,
-                        epoch.reported_position,
-                        epoch.reported_heading,
-                        numbers,
-                        shelf_numbers,
-                    )
-                per_shard = [shard.collect_events() for shard in self.shards]
-        else:
-            sub_epochs = self.router.split(epoch)
-            if self._pool is not None:
-                # Shards share no mutable state, so concurrent steps are safe
-                # and — because the merge below is deterministic — the output
-                # is identical to serial execution.
-                futures = [
-                    self._pool.submit(shard.step, sub)
-                    for shard, sub in zip(self.shards, sub_epochs)
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                for shard, sub in zip(self.shards, sub_epochs):
-                    shard.step(sub)
-            per_shard = [shard.drain() for shard in self.shards]
+            self._supervisor.record(epoch)
         self.epochs_processed += 1
         self._merge(per_shard)
         if self.runtime_config.checkpoint_every_s is not None:
@@ -498,7 +430,7 @@ class ShardedRuntime:
     def reshard(self, n_shards: int, partitioner: Optional[str] = None) -> None:
         """Migrate to a new shard layout at the current epoch boundary, live.
 
-        Snapshot every running shard (pipelined for worker executors),
+        Snapshot every running shard (pipelined across workers),
         repartition the state trees through the same elastic N→M path a
         stop-the-world restore uses (:func:`repro.state.restore
         .reshard_states` — arena blocks, visit bookkeeping, migrated
@@ -529,13 +461,10 @@ class ShardedRuntime:
         ):
             return
         started = time.monotonic()
-        # 1. Coordinated full snapshot of the running shards.
-        if self._process:
-            for shard in self.shards:
-                shard.snapshot_async("full")
-            old_states = [shard.collect_snapshot() for shard in self.shards]
-        else:
-            old_states = [shard.snapshot("full") for shard in self.shards]
+        # 1. Coordinated full snapshot of the running shards (pipelined).
+        for shard in self.shards:
+            shard.snapshot_async("full")
+        old_states = [shard.collect_snapshot() for shard in self.shards]
         # 2. Repartition onto the new layout.
         new_router = EpochRouter(n_shards, new_partitioner)
         new_states = reshard_states(
@@ -562,44 +491,18 @@ class ShardedRuntime:
         self.router = new_router
         new_shards: List = []
         try:
-            if self._process:
-                for index in range(n_shards):
-                    new_shards.append(self.spawn_worker(index))
-                for shard, state in zip(new_shards, new_states):
-                    shard.restore(state)
-            else:
-                for index in range(n_shards):
-                    shard = FilterShard(
-                        index,
-                        self._inproc_factory(
-                            replace(
-                                self.config,
-                                seed=shard_seed(self.config.seed, index, n_shards),
-                            )
-                        ),
-                        self.policy,
-                    )
-                    shard.restore(new_states[index])
-                    new_shards.append(shard)
+            for index in range(n_shards):
+                new_shards.append(self.spawn_shard(index))
+                new_shards[index].restore(new_states[index])
         except BaseException:
             for shard in new_shards:
-                if self._process:
-                    shard.close(force=True)
+                shard.close(force=True)
             self.runtime_config, self.router = old_config, old_router
             raise
         self.shards = new_shards
-        if self._process:
-            for shard in old_shards:
-                shard.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self.runtime_config.executor == "thread" and n_shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=n_shards, thread_name_prefix="repro-shard"
-            )
-        # 4. Bookkeeping: the old delta chain describes the old layout, and
-        # post-finish caches/baselines must not outlive the migration.
+        for shard in old_shards:
+            shard.close()
+        # 4. Bookkeeping: the old delta chain describes the old layout.
         self._chain_parent = None
         self._chain_len = 0
         self.reshards_total += 1
@@ -614,35 +517,20 @@ class ShardedRuntime:
         """Flush every shard's pending events and close the bus."""
         if self._finished:
             return
-        if self._process:
-            for shard in self.shards:
-                shard.finish_async()
-            per_shard = [shard.collect_events() for shard in self.shards]
-            # Capture the post-run query surface before retiring the
-            # workers (pipelined: all requests in flight, then collect).
-            for shard in self.shards:
-                shard.final_async()
-            self._final_stats = []
-            self._final_known = set()
-            self._final_estimates = {}
-            for shard in self.shards:
-                stats, known, estimates = shard.collect_final()
-                self._final_stats.append(stats)
-                self._final_known.update(known)
-                self._final_estimates.update(estimates)
-        else:
-            for shard in self.shards:
-                shard.finish()
-            per_shard = [shard.drain() for shard in self.shards]
+        for shard in self.shards:
+            shard.finish()
+        per_shard = [shard.collect_events() for shard in self.shards]
         self._merge(per_shard)
         self._finished = True
-        self._release_executors()
+        # Shards stay queryable once closed: worker proxies keep the
+        # post-run summary their worker shipped with its last events.
+        self._release_shards()
         self.bus.close()
 
     def abort(self) -> None:
         """Tear down without flushing shard output.
 
-        Releases the executor (thread pool, or worker processes — stopped
+        Releases every shard (worker threads, or worker processes — stopped
         gracefully so they free their shared-memory slabs, escalating to
         terminate if unresponsive) and closes the bus (close hooks run, so
         bridged query engines and bus-owned sinks still see end-of-stream)
@@ -658,23 +546,19 @@ class ShardedRuntime:
         self._aborting = True
         try:
             self._finished = True
-            self._release_executors()
+            self._release_shards()
             self.bus.close()
         finally:
             self._aborting = False
 
-    def _release_executors(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._process:
-            for shard in self.shards:
-                shard.close()
+    def _release_shards(self) -> None:
+        for shard in self.shards:
+            shard.close()
 
     def run(self, epochs: Iterable[Epoch]) -> EventSink:
         """Convenience: process every epoch then finish; returns the sink.
 
-        On error the runtime is aborted (thread pool released, bus closed)
+        On error the runtime is aborted (shards released, bus closed)
         before the exception propagates, so a failed run does not leak
         worker threads or leave subscribers waiting for a close.
         """

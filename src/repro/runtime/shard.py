@@ -11,42 +11,93 @@ Events emitted during a step land in a private buffer that the runtime
 drains after all shards have advanced, so the cross-shard merge happens in
 one place (:class:`~repro.runtime.runtime.ShardedRuntime`) with the full
 epoch's output in hand.
+
+The runtime drives every shard — in-process or a worker proxy
+(:class:`~repro.runtime.workers.ShardWorkerProxy`) — through one
+split-phase surface: ``step_async(sub_epoch)`` then ``collect_events()``,
+``finish()`` then ``collect_events()``, ``snapshot_async(mode)`` then
+``collect_snapshot()``, and ``close()``.  Requesting every shard before
+collecting any lets worker shards (and threaded in-process ones) run
+concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Dict, List, Optional
 
 from ..config import OutputPolicyConfig
 from ..errors import StateError
+from ..inference.arena import BeliefView
 from ..inference.pipeline import CleaningPipeline, InferenceEngine
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink
 
 
 class FilterShard:
-    """One partition's engine, pipeline, and drainable event buffer."""
+    """One partition's engine, pipeline, and drainable event buffer.
+
+    ``threaded=True`` (the thread executor) runs ``step_async`` on the
+    shard's own worker thread — the numpy kernels release the GIL, so
+    shards overlap; otherwise it steps inline.
+    """
 
     def __init__(
         self,
         index: int,
         engine: InferenceEngine,
         policy: OutputPolicyConfig = OutputPolicyConfig(),
+        threaded: bool = False,
     ):
         self.index = index
         self.engine = engine
         self._buffer = CollectingSink()
         self.pipeline = CleaningPipeline(engine, policy, self._buffer)
-
-    def step(self, epoch: Epoch) -> None:
-        self.pipeline.step(epoch)
+        self._pool: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"repro-shard-{index}")
+            if threaded
+            else None
+        )
+        self._pending: Optional[Future] = None
+        self._snapshot_mode = "full"
 
     def finish(self) -> None:
         self.pipeline.finish()
 
+    # -- the split-phase surface the runtime drives ---------------------
+    def step_async(self, epoch: Epoch) -> None:
+        if self._pool is None:
+            self.pipeline.step(epoch)
+        else:
+            self._pending = self._pool.submit(self.pipeline.step, epoch)
+
+    def collect_events(self) -> List[LocationEvent]:
+        """Wait for the step in flight (if any), then drain its events."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+        return self.drain()
+
+    def snapshot_async(self, mode: str = "full") -> None:
+        self._snapshot_mode = mode
+
+    def collect_snapshot(self) -> Dict[str, dict]:
+        return self.snapshot(self._snapshot_mode)
+
+    def close(self, force: bool = False) -> None:
+        """Release the shard's worker thread (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def arena_view(self) -> Optional[BeliefView]:
+        """Zero-copy view of the engine's live arena (None without one)."""
+        arena = getattr(self.engine, "arena", None)
+        return None if arena is None else arena.view()
+
     # Engine queries, exposed at the shard boundary so callers (the runtime,
-    # the state layer) never reach into ``.engine`` — the process executor's
-    # ShardWorkerProxy implements this same surface over a pipe.
+    # the state layer) never reach into ``.engine`` — ShardWorkerProxy
+    # implements this same surface over its link.
     def known_objects(self) -> List[int]:
         return self.engine.known_objects()
 

@@ -1,15 +1,16 @@
 """Shard supervision: respawn, restore, and replay failed workers.
 
-The process executor's crash story through PR 4 was *containment*: a dead
-worker raised :class:`~repro.errors.WorkerError`, the runtime aborted, and
-a human restarted from the last checkpoint.  The supervisor closes that
-loop in-process.  When a worker dies (pipe EOF / silent heartbeat gap) or
-hangs (heartbeats flow, reply misses the op deadline), the supervisor:
+Without supervision a dead worker raises :class:`~repro.errors.WorkerError`,
+the runtime aborts, and a human restarts from the last checkpoint.  The
+supervisor closes that loop in-process.  When a worker dies (link EOF, a
+malformed frame, or a silent heartbeat gap) or hangs (heartbeats flow,
+reply misses the op deadline), the runtime's step hands the shard to the
+supervisor, which:
 
 1. **kills + respawns** the worker process (fresh fork, same re-seeded
    shard config — determinism comes from the seed, not the process);
 2. **restores** just that shard from the last checkpoint's per-shard state
-   (``manifest.shard_states[index]`` over the pipe, exactly the restore
+   (``manifest.shard_states[index]`` over the link, exactly the restore
    path explicit resume uses) — or starts it fresh from the seed when no
    checkpoint exists yet;
 3. **replays** the journaled epoch suffix — every epoch routed since that
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..config import SupervisorConfig
 from ..errors import WorkerError
@@ -47,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ShardSupervisor:
-    """Per-runtime supervisor for process-executor shard workers."""
+    """Per-runtime supervisor for worker-backed shards."""
 
     def __init__(self, runtime: "ShardedRuntime", config: SupervisorConfig):
         self.runtime = runtime
@@ -117,47 +118,6 @@ class ShardSupervisor:
             return
         self._journal.append(epoch)
 
-    def step_shards(
-        self, epoch: Epoch, buckets: Sequence[Sequence[int]], shelf_numbers: List[int]
-    ) -> List[list]:
-        """The supervised flavour of the runtime's process-executor step.
-
-        Sends the routed sub-epochs to every worker, collects replies, and
-        recovers any shard that died or hung — the returned per-shard event
-        lists are byte-identical to a crash-free step.
-        """
-        shards = self.runtime.shards
-        failures: Dict[int, WorkerError] = {}
-        for index, (shard, numbers) in enumerate(zip(shards, buckets)):
-            try:
-                shard.step_async(
-                    epoch.time,
-                    epoch.reported_position,
-                    epoch.reported_heading,
-                    numbers,
-                    shelf_numbers,
-                )
-            except WorkerError as exc:
-                failures[index] = exc
-        per_shard: List[list] = [[] for _ in shards]
-        for index, shard in enumerate(shards):
-            if index in failures:
-                continue
-            try:
-                per_shard[index] = shard.collect_events()
-            except WorkerError as exc:
-                failures[index] = exc
-        for index in sorted(failures):
-            per_shard[index] = self._recover(
-                index,
-                failures[index],
-                epoch=epoch,
-                numbers=buckets[index],
-                shelf_numbers=shelf_numbers,
-            )
-        self.record(epoch)
-        return per_shard
-
     def recover_dead_shards(self, cause: WorkerError) -> List[int]:
         """Respawn + catch up every dead worker (no in-flight epoch).
 
@@ -166,10 +126,8 @@ class ShardSupervisor:
         """
         recovered = []
         for index, proxy in enumerate(self.runtime.shards):
-            # Transport-agnostic liveness: local proxies check their forked
-            # process, remote proxies their socket (ShardProxyBase.is_alive).
             if not proxy.is_alive():
-                self._recover(index, cause)
+                self.recover(index, cause)
                 recovered.append(index)
         if not recovered:
             raise cause  # the failure was not a dead worker after all
@@ -190,18 +148,14 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(
-        self,
-        index: int,
-        cause: WorkerError,
-        epoch: Optional[Epoch] = None,
-        numbers: Optional[Sequence[int]] = None,
-        shelf_numbers: Optional[List[int]] = None,
+    def recover(
+        self, index: int, cause: WorkerError, sub_epoch: Optional[Epoch] = None
     ) -> list:
-        """Respawn shard ``index``, catch it up, re-issue the failed epoch.
+        """Respawn shard ``index``, catch it up, re-issue its failed sub-epoch.
 
-        Returns the in-flight epoch's events (empty list when recovering
-        without one).  Loops under backoff until success or escalation.
+        Returns the in-flight sub-epoch's events (empty list when
+        recovering without one) — byte-identical to a crash-free step.
+        Loops under backoff until success or escalation.
         """
         if self._journal_broken:
             self._escalate(index, cause, self._broken_reason)
@@ -223,17 +177,10 @@ class ShardSupervisor:
                 try:
                     self._respawn(index)
                     self._catch_up(index)
-                    if epoch is None:
-                        events: list = []
-                    else:
+                    events: list = []
+                    if sub_epoch is not None:
                         proxy = self.runtime.shards[index]
-                        proxy.step_async(
-                            epoch.time,
-                            epoch.reported_position,
-                            epoch.reported_heading,
-                            numbers,
-                            shelf_numbers,
-                        )
+                        proxy.step_async(sub_epoch)
                         events = proxy.collect_events()
                 except WorkerError as exc:
                     cause = exc  # died again: next lap, fatter backoff
@@ -258,7 +205,7 @@ class ShardSupervisor:
             old.close(force=True)
         except Exception:
             pass  # reclamation is best-effort; the segment unlink retries
-        self.runtime.shards[index] = self.runtime.spawn_worker(index)
+        self.runtime.shards[index] = self.runtime.spawn_shard(index)
 
     def _catch_up(self, index: int) -> None:
         """Restore the respawned shard from the baseline, replay the journal."""
@@ -278,14 +225,7 @@ class ShardSupervisor:
         # stream start (same seed), so the journal replays from epoch 0.
         router = self.runtime.router
         for past in self._journal:
-            past_shelf = [tag.number for tag in past.shelf_tags]
-            proxy.step_async(
-                past.time,
-                past.reported_position,
-                past.reported_heading,
-                router.split_numbers(past)[index],
-                past_shelf,
-            )
+            proxy.step_async(router.split(past)[index])
             proxy.collect_events()  # deterministic duplicates: discard
 
     def _escalate(self, index: int, cause: WorkerError, reason: str) -> None:

@@ -1,45 +1,43 @@
-"""Socket transport for shard workers: shards on remote hosts over TCP.
+"""The shard wire: one codec and one framed connection for every worker.
 
-The process executor's per-epoch protocol is already compact tuples
-(:mod:`repro.runtime.workers`); this module carries the same tuples over a
-length-prefixed binary framing — ``u32 length (big-endian) | u8 type |
-payload``, the exact shape of the ingest service's wire protocol
-(:mod:`repro.serve.protocol`) — so shards can run in a ``repro shard-host``
-worker pool on another machine.  Three rules keep the hot path binary and
-the cold path simple:
+Both worker-backed executors speak this codec over a stream socket — a
+``socket.socketpair()`` to a locally forked worker (``process``) or a TCP
+connection to a ``repro shard-host`` (``remote``).  Frames are
+length-prefixed exactly like the ingest service's wire protocol
+(:func:`repro.serve.protocol.wrap_frame` / :func:`~repro.serve.protocol
+.split_frames`): ``u32 length (big-endian) | u8 type | payload``.  Three
+rules keep the hot path binary and the cold path simple:
 
-* **Hot frames are struct-packed.**  ``step`` requests and ``events``
+* **Hot frames are struct-packed.**  ``STEP`` requests and ``EVENTS``
   replies — the two frames exchanged every epoch — pack fixed-width fields
-  with :mod:`struct`, no pickling.  Floats cross as IEEE-754 f64, so a
-  remote shard's emissions are **bit-identical** to a local worker's.
+  with :mod:`struct`, no pickling: a routed :class:`~repro.streams.records
+  .Epoch` is encoded straight to ``STEP`` bytes and a list of
+  :class:`~repro.streams.records.LocationEvent`\\ s straight to ``EVENTS``
+  bytes, and both decode straight back.  Floats cross as IEEE-754 f64, so
+  a worker's emissions are **bit-identical** to an in-process shard's.
 * **Control frames are pickled.**  Boot, snapshot/restore state trees,
-  stats, and final summaries are rare and structurally rich (nested dicts
-  of numpy arrays); they cross as pickle inside one control frame.  That
-  makes the transport exactly as trusting as ``multiprocessing`` pipes:
-  run shard hosts only on networks where every peer may execute code
-  (same trust model as the pipe transport's forked workers).
-* **Heartbeats are empty frames.**  The worker-side heartbeat thread's
-  ``("hb",)`` tuples become one-byte-payload frames, so the parent's
-  deadline-bounded receive loop (:class:`~repro.runtime.workers
-  .ShardProxyBase`) distinguishes a dead link from a slow reply over TCP
-  exactly as it does over a pipe.
+  stats, and belief fetches are rare and structurally rich (nested dicts of
+  numpy arrays); they cross as a pickled tuple inside one ``CONTROL``
+  frame.  That makes the wire exactly as trusting as ``multiprocessing``:
+  run shard hosts only on networks where every peer may execute code.
+* **Heartbeats are empty frames** (``HB``), so the parent's
+  deadline-bounded receive tells a dead link from a slow reply.
 
-Off-host there is no shared memory, so the proxy's ``arena_view`` becomes
-an explicit ``beliefs`` fetch: the worker packs every live particle block
-into contiguous arrays plus a slot table, and the parent reads the reply
-through :class:`FetchedArenaView` — the same read surface as the
-shared-slab :class:`~repro.runtime.workers.ArenaView`.
+Every decode failure — truncation, trailing bytes, an unknown frame type, a
+bad pickle — raises :class:`~repro.errors.WorkerError`: a desynchronized
+link is a dead worker, and the supervisor heals it like one.
 
-The shard host (:class:`ShardHostServer`) forks one local worker per
-accepted connection — reusing :func:`~repro.runtime.workers._worker_main`
-verbatim, heartbeats and fault points included — and relays frames between
-the socket and the worker's pipe.  When the socket drops (parent gone, or
-a supervisor gave up on the link) the host kills the worker and reclaims
-its shared-memory segment: a shard host never accumulates orphans.
+The shard host (:class:`ShardHostServer`) reads one boot frame per accepted
+connection under a deadline, then forks a worker
+(:func:`~repro.runtime.workers._worker_main`) straight onto the accepted
+socket, then only watches its children: a worker whose peer hung up is
+terminated, a dead worker's socket is shut down so the peer sees EOF at
+once, and :meth:`ShardHostServer.shutdown` kills them all.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import select
@@ -50,26 +48,21 @@ import time as _time
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..config import InferenceConfig, OutputPolicyConfig
-from ..errors import InferenceError, WorkerError
-from ..inference.arena import attach_shared_slab
-from ..models.joint import RFIDWorldModel
-from .workers import (
-    ShardProxyBase,
-    _ensure_resource_tracker,
-    _worker_main,
-    worker_context,
+from ..errors import WorkerError
+from ..streams.records import (
+    Epoch,
+    LocationEvent,
+    LocationStatistics,
+    TagId,
+    make_epoch,
 )
 
 # Frame type codes (u8 on the wire).
 T_CONTROL = 1  # pickled tuple: boot, snapshot/restore, stats, ok/error, ...
-T_STEP = 2  # struct-packed step request (the parent→worker hot path)
-T_EVENTS = 3  # struct-packed events reply (the worker→parent hot path)
+T_STEP = 2  # struct-packed routed epoch (the parent→worker hot path)
+T_EVENTS = 3  # struct-packed emitted events (the worker→parent hot path)
 T_HB = 4  # empty heartbeat frame
 
-_LEN = struct.Struct("!I")
 #: time f64 | x y z f64 | flags u8 | heading f64 | n_obj u32 | n_shelf u32
 #: (flags bit 0: position present; bit 1: heading present — handheld
 #: readers report neither, positioning dropouts report no position)
@@ -87,7 +80,7 @@ _EVENT_STATS = struct.Struct("!9ddI")
 #: protocol limit.
 MAX_MESSAGE_BYTES = 1 << 30
 
-#: Default deadline for the TCP connect + boot of one remote shard.
+#: Deadline for the TCP connect + boot of one remote shard, on both ends.
 CONNECT_TIMEOUT_S = 10.0
 
 
@@ -98,144 +91,165 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Message codec: worker-protocol tuples <-> framed bytes
+# Message codec: ("step", Epoch) / ("events", [LocationEvent]) / ("hb",) /
+# any other tuple (pickled) <-> framed bytes
 # ---------------------------------------------------------------------------
-def _encode_step(message: tuple) -> bytes:
-    _, time, position, heading, object_numbers, shelf_numbers = message
-    x, y, z = (0.0, 0.0, 0.0) if position is None else (
-        float(v) for v in position
-    )
+def _encode_step(epoch: Epoch) -> bytes:
+    position = epoch.reported_position
+    heading = epoch.reported_heading
+    x, y, z = (0.0, 0.0, 0.0) if position is None else position
     flags = (0 if position is None else _STEP_HAS_POSITION) | (
         0 if heading is None else _STEP_HAS_HEADING
     )
-    objects = [int(n) for n in object_numbers]
-    shelves = [int(n) for n in shelf_numbers]
+    objects = [tag.number for tag in epoch.object_tags]
+    shelves = [tag.number for tag in epoch.shelf_tags]
     head = _STEP_HEAD.pack(
-        float(time),
+        epoch.time,
         x,
         y,
         z,
         flags,
-        0.0 if heading is None else float(heading),
+        0.0 if heading is None else heading,
         len(objects),
         len(shelves),
     )
-    body = struct.pack(f"!{len(objects)}I", *objects) + struct.pack(
-        f"!{len(shelves)}I", *shelves
-    )
-    return head + body
+    return head + struct.pack(f"!{len(objects) + len(shelves)}I", *objects, *shelves)
 
 
 def _decode_step(payload: bytes) -> tuple:
-    time, x, y, z, flags, heading, n_obj, n_shelf = _STEP_HEAD.unpack_from(
-        payload, 0
-    )
-    offset = _STEP_HEAD.size
-    objects = list(struct.unpack_from(f"!{n_obj}I", payload, offset))
-    offset += 4 * n_obj
-    shelves = list(struct.unpack_from(f"!{n_shelf}I", payload, offset))
-    return (
-        "step",
+    time, x, y, z, flags, heading, n_obj, n_shelf = _STEP_HEAD.unpack_from(payload)
+    numbers = struct.unpack_from(f"!{n_obj + n_shelf}I", payload, _STEP_HEAD.size)
+    _expect_end(payload, _STEP_HEAD.size + 4 * (n_obj + n_shelf))
+    epoch = make_epoch(
         time,
         (x, y, z) if flags & _STEP_HAS_POSITION else None,
-        heading if flags & _STEP_HAS_HEADING else None,
-        objects,
-        shelves,
+        object_tags=numbers[:n_obj],
+        shelf_tags=numbers[n_obj:],
+        reported_heading=heading if flags & _STEP_HAS_HEADING else None,
     )
+    return ("step", epoch)
 
 
-def _encode_events(message: tuple) -> bytes:
-    # ("events", rows, segment) — the segment names worker-local shared
-    # memory, meaningless across hosts, so the wire drops it.
-    _, rows = message[0], message[1]
-    parts = [_EVENTS_HEAD.pack(len(rows))]
-    for time, number, position, stats in rows:
-        x, y, z = (float(v) for v in position)
+def _encode_events(events: List[LocationEvent]) -> bytes:
+    parts = [_EVENTS_HEAD.pack(len(events))]
+    for event in events:
+        x, y, z = event.position
+        stats = event.statistics
         parts.append(
             _EVENT_FIXED.pack(
-                float(time), int(number), x, y, z, 0 if stats is None else 1
+                event.time, event.tag.number, x, y, z, 0 if stats is None else 1
             )
         )
         if stats is not None:
-            covariance, radius, sample_size = stats
-            flat = np.asarray(covariance, dtype=np.float64).reshape(9)
             parts.append(
                 _EVENT_STATS.pack(
-                    *(float(v) for v in flat), float(radius), int(sample_size)
+                    *stats.covariance, stats.confidence_radius, stats.sample_size
                 )
             )
     return b"".join(parts)
 
 
 def _decode_events(payload: bytes) -> tuple:
-    (count,) = _EVENTS_HEAD.unpack_from(payload, 0)
+    (count,) = _EVENTS_HEAD.unpack_from(payload)
     offset = _EVENTS_HEAD.size
-    rows = []
+    events = []
     for _ in range(count):
         time, number, x, y, z, has_stats = _EVENT_FIXED.unpack_from(payload, offset)
         offset += _EVENT_FIXED.size
-        stats = None
+        statistics = None
         if has_stats:
             values = _EVENT_STATS.unpack_from(payload, offset)
             offset += _EVENT_STATS.size
-            # LocationStatistics.covariance is a flat row-major 9-tuple.
-            stats = (values[:9], values[9], int(values[10]))
-        rows.append(
-            (time, int(number), np.array((x, y, z), dtype=np.float64), stats)
+            statistics = LocationStatistics(
+                covariance=values[:9],
+                confidence_radius=values[9],
+                sample_size=values[10],
+            )
+        events.append(
+            LocationEvent(
+                time=time,
+                tag=TagId.object(number),
+                position=(x, y, z),
+                statistics=statistics,
+            )
         )
-    return ("events", rows, None)
+    _expect_end(payload, offset)
+    return ("events", events)
+
+
+def _decode_control(payload: bytes) -> tuple:
+    stream = io.BytesIO(payload)
+    message = pickle.Unpickler(stream).load()
+    _expect_end(payload, stream.tell())
+    if not (isinstance(message, tuple) and message and isinstance(message[0], str)):
+        raise ValueError(f"control payload is not a message tuple: {message!r:.80}")
+    return message
+
+
+def _expect_end(payload: bytes, offset: int) -> None:
+    if offset != len(payload):
+        raise ValueError(f"{len(payload) - offset} trailing bytes")
 
 
 def encode_message(message: tuple) -> bytes:
-    """One worker-protocol tuple → one length-prefixed frame."""
+    """One wire message → one length-prefixed frame."""
+    from ..serve.protocol import wrap_frame  # deferred: serve imports runtime
+
     op = message[0]
     if op == "hb":
-        kind, payload = T_HB, b""
-    elif op == "step":
-        kind, payload = T_STEP, _encode_step(message)
-    elif op == "events":
-        kind, payload = T_EVENTS, _encode_events(message)
-    else:
-        kind, payload = T_CONTROL, pickle.dumps(
-            message, protocol=pickle.HIGHEST_PROTOCOL
-        )
-    return _LEN.pack(len(payload) + 1) + bytes([kind]) + payload
+        return wrap_frame(T_HB)
+    if op == "step":
+        return wrap_frame(T_STEP, _encode_step(message[1]))
+    if op == "events":
+        return wrap_frame(T_EVENTS, _encode_events(message[1]))
+    return wrap_frame(
+        T_CONTROL, pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+
+
+_DECODERS = {
+    T_STEP: _decode_step,
+    T_EVENTS: _decode_events,
+    T_CONTROL: _decode_control,
+}
+_FRAME_NAMES = {T_CONTROL: "CONTROL", T_STEP: "STEP", T_EVENTS: "EVENTS", T_HB: "HB"}
 
 
 def decode_payload(kind: int, payload: bytes) -> tuple:
+    """One frame's type + payload → its wire message (:class:`WorkerError`
+    on anything malformed)."""
     if kind == T_HB:
+        if payload:
+            raise WorkerError(f"malformed HB frame: {len(payload)} trailing bytes")
         return ("hb",)
-    if kind == T_STEP:
-        return _decode_step(payload)
-    if kind == T_EVENTS:
-        return _decode_events(payload)
-    if kind == T_CONTROL:
-        return pickle.loads(payload)
-    raise WorkerError(f"unknown transport frame type {kind}")
+    decoder = _DECODERS.get(kind)
+    if decoder is None:
+        raise WorkerError(f"unknown transport frame type {kind}")
+    try:
+        return decoder(payload)
+    except Exception as exc:  # struct.error, UnpicklingError, EOFError, ...
+        raise WorkerError(
+            f"malformed {_FRAME_NAMES[kind]} frame: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
-# FramedConnection: the multiprocessing.Connection trio over a TCP socket
+# FramedConnection: send / recv / poll of whole messages over a stream socket
 # ---------------------------------------------------------------------------
 class FramedConnection:
-    """Blocking-socket message connection with the pipe ``Connection`` API.
+    """Blocking-socket message connection with a pipe-like API.
 
-    ``send`` / ``recv`` / ``poll`` carry whole worker-protocol tuples, so
-    :class:`~repro.runtime.workers.ShardProxyBase` (and the shard host's
-    relay) drive a socket exactly as they drive a pipe.  A clean peer close
-    surfaces as :class:`EOFError` from ``recv`` — again matching the pipe.
-
-    ``bytes_sent`` / ``bytes_received`` count framed wire bytes per link;
-    remote proxies surface them in shard stats so the serve STATS document
-    aggregates per-link wire cost for free.
+    ``send`` / ``recv`` / ``poll`` carry whole wire messages.  A clean peer
+    close surfaces as :class:`EOFError` from ``recv``; a malformed frame as
+    :class:`~repro.errors.WorkerError`.  ``bytes_sent`` / ``bytes_received``
+    count framed wire bytes per link; worker proxies surface them in shard
+    stats so the serve STATS document aggregates per-link wire cost.
     """
 
     def __init__(self, sock: socket.socket, max_message_bytes: int = MAX_MESSAGE_BYTES):
         sock.setblocking(True)
-        try:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP sockets in tests
-            pass
         self._sock = sock
         self._max = int(max_message_bytes)
         self._buffer = bytearray()
@@ -256,32 +270,12 @@ class FramedConnection:
             self.bytes_sent += len(data)
 
     # -- receiving -----------------------------------------------------
-    def _drain_buffer(self) -> None:
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length < 1:
-                raise WorkerError("zero-length transport frame")
-            if length > self._max:
-                raise WorkerError(
-                    f"transport frame of {length} bytes exceeds the "
-                    f"{self._max}-byte limit"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                return
-            kind = self._buffer[_LEN.size]
-            payload = bytes(self._buffer[_LEN.size + 1 : end])
-            del self._buffer[:end]
-            self._frames.append(decode_payload(kind, payload))
-
     def poll(self, timeout: Optional[float] = 0.0) -> bool:
-        """True when ``recv`` would not block (a frame — or EOF — is ready)."""
-        if self._frames or self._eof:
-            return True
-        if self._closed:
-            return True  # recv will raise promptly
+        """True when ``recv`` would not block (a message — or EOF — is ready)."""
+        from ..serve.protocol import split_frames  # deferred: serve imports runtime
+
+        if self._frames or self._eof or self._closed:
+            return True  # a closed connection's recv raises promptly
         deadline = None if timeout is None else _time.monotonic() + timeout
         while True:
             remaining = (
@@ -293,14 +287,18 @@ class FramedConnection:
             try:
                 chunk = self._sock.recv(1 << 16)
             except OSError:
-                self._eof = True
-                return True
+                chunk = b""
             if not chunk:
                 self._eof = True
                 return True
             self.bytes_received += len(chunk)
             self._buffer.extend(chunk)
-            self._drain_buffer()
+            try:
+                for kind, payload in split_frames(self._buffer, self._max, WorkerError):
+                    self._frames.append(decode_payload(kind, payload))
+            except WorkerError:
+                self._eof = True  # framing is lost: nothing after this is readable
+                raise
             if self._frames:
                 return True
             if deadline is not None and _time.monotonic() >= deadline:
@@ -313,14 +311,16 @@ class FramedConnection:
             self.poll(None)
         return self._frames.popleft()
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
     @property
     def alive(self) -> bool:
         return not (self._eof or self._closed)
 
     def close(self) -> None:
+        """Shut the link down for every holder of the socket, then close it.
+
+        ``shutdown`` (not just ``close``) so the peer sees EOF even while a
+        forked process still holds a copy of this descriptor.
+        """
         if self._closed:
             return
         self._closed = True
@@ -328,297 +328,28 @@ class FramedConnection:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - double close
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Parent side: the remote proxy
-# ---------------------------------------------------------------------------
-class FetchedArenaView:
-    """Point-in-time belief read over a ``beliefs`` fetch reply.
-
-    Same read surface as the shared-slab
-    :class:`~repro.runtime.workers.ArenaView`, but over arrays copied off
-    the wire — consistent by construction (the worker packs between steps)
-    and valid until the caller drops it.  ``close`` is a no-op; there is
-    no segment to detach.
-    """
-
-    def __init__(
-        self,
-        slots: Dict[int, Tuple[int, int]],
-        positions: np.ndarray,
-        parents: np.ndarray,
-        log_weights: np.ndarray,
-    ):
-        self.slots = slots
-        self._positions = positions
-        self._parents = parents
-        self._log_weights = log_weights
-
-    def object_ids(self) -> List[int]:
-        return list(self.slots)
-
-    def _slice(self, object_id: int) -> slice:
-        try:
-            start, count = self.slots[object_id]
-        except KeyError:
-            raise InferenceError(
-                f"object {object_id} has no block in the fetched beliefs"
-            ) from None
-        return slice(start, start + count)
-
-    def positions(self, object_id: int) -> np.ndarray:
-        return self._positions[self._slice(object_id)]
-
-    def parents(self, object_id: int) -> np.ndarray:
-        return self._parents[self._slice(object_id)]
-
-    def log_weights(self, object_id: int) -> np.ndarray:
-        return self._log_weights[self._slice(object_id)]
-
-    def close(self) -> None:
-        pass
-
-
-class RemoteShardProxy(ShardProxyBase):
-    """Handle to one shard worker running in a remote ``shard-host`` pool.
-
-    Connects, ships a ``boot`` control frame (model, re-seeded config,
-    policy, engine factory — the same recipe a local fork gets), and then
-    speaks the identical tuple protocol.  A refused or dropped connection
-    surfaces as :class:`~repro.errors.WorkerError`, so the supervisor's
-    respawn path retries through its usual backoff — reconnecting to a
-    restarted shard host heals a remote death exactly like a local one.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        model: RFIDWorldModel,
-        config: InferenceConfig,
-        policy: OutputPolicyConfig,
-        endpoint: str,
-        initial_heading: float = 0.0,
-        engine_factory=None,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-        connect_timeout_s: float = CONNECT_TIMEOUT_S,
-    ):
-        self._init_protocol(
-            index, op_timeout_s, heartbeat_interval_s, heartbeat_grace_s
-        )
-        self.endpoint = str(endpoint)
-        self._conn: Optional[FramedConnection] = None
-        host, port = parse_endpoint(self.endpoint)
-        try:
-            sock = socket.create_connection((host, port), timeout=connect_timeout_s)
-        except OSError as exc:
-            raise WorkerError(
-                f"shard worker {index}: cannot reach shard host "
-                f"{self.endpoint}: {exc}"
-            ) from exc
-        sock.settimeout(None)
-        self._conn = FramedConnection(sock)
-        try:
-            self._conn.send(
-                (
-                    "boot",
-                    index,
-                    model,
-                    config,
-                    policy,
-                    float(initial_heading),
-                    engine_factory,
-                    self.heartbeat_interval_s,
-                )
-            )
-            self._handshake()
-        except BaseException:
-            self._conn.close()
-            raise
-
-    # -- liveness -------------------------------------------------------
-    def _transport_alive(self) -> bool:
-        return self._conn is not None and self._conn.alive
-
-    def _closed(self) -> bool:
-        return self._conn is None
-
-    def _death_detail(self) -> str:
-        return f" (shard host {self.endpoint})"
-
-    # -- belief reads ---------------------------------------------------
-    def arena_view(self) -> FetchedArenaView:
-        """Fetch the worker's live belief blocks over the wire.
-
-        The explicit off-host replacement for attaching the shared slab;
-        raises :class:`InferenceError` for engines without an arena.
-        """
-        payload = self._request(("beliefs",))[1]
-        if payload is None:
-            raise InferenceError(
-                f"shard worker {self.index} has no belief arena"
-            )
-        return FetchedArenaView(*payload)
-
-    # -- stats ----------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        row = dict(super().stats())
-        conn = self._conn
-        if conn is not None:
-            row["wire_bytes_sent"] = conn.bytes_sent
-            row["wire_bytes_recv"] = conn.bytes_received
-        return row
-
-    # -- teardown -------------------------------------------------------
-    def close(self, force: bool = False, timeout: float = 5.0) -> None:
-        """Close the link; the shard host reaps the worker on EOF.
-
-        Graceful by default (``stop``, drain to ``bye``); ``force`` skips
-        the goodbye.  Idempotent.
-        """
-        conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        if not force and not self._dead and conn.alive:
-            try:
-                conn.send(("stop",))
-                deadline = _time.monotonic() + timeout
-                while _time.monotonic() < deadline and conn.poll(
-                    max(0.0, deadline - _time.monotonic())
-                ):
-                    if conn.recv()[0] == "bye":
-                        break
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-        conn.close()
-        self._dead = True
+        self._sock.close()
 
 
 # ---------------------------------------------------------------------------
 # Host side: the shard-host server
 # ---------------------------------------------------------------------------
-def _unlink_leaked_segment(segment: Optional[Tuple[str, int, str]]) -> None:
-    if segment is None:
-        return
-    name, capacity, dtype = segment
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether the peer hung up, without consuming the worker's bytes."""
     try:
-        slab = attach_shared_slab(name, capacity, dtype)
-    except FileNotFoundError:
-        return
-    slab.unlink()
-    slab.close()
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
 
-class _WorkerSession:
-    """One accepted connection: a forked worker plus two relay directions.
-
-    The socket→pipe direction runs on its own thread; the pipe→socket
-    direction runs on the connection's thread (it also tracks the last
-    arena segment the worker advertised, the reclamation key if the worker
-    dies uncleanly).  Either side breaking tears the whole session down:
-    worker terminated and joined, leaked segment unlinked, socket closed.
-    """
-
-    def __init__(self, conn: FramedConnection, boot: tuple):
-        (
-            _,
-            self.index,
-            model,
-            config,
-            policy,
-            initial_heading,
-            engine_factory,
-            heartbeat_interval_s,
-        ) = boot
-        self.conn = conn
-        self._segment: Optional[Tuple[str, int, str]] = None
-        self._torn_down = False
-        self._teardown_lock = threading.Lock()
-        ctx = worker_context()
-        _ensure_resource_tracker()
-        self._pipe, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.index,
-                model,
-                config,
-                policy,
-                float(initial_heading),
-                engine_factory,
-                float(heartbeat_interval_s),
-            ),
-            name=f"repro-shard-{self.index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def run(self) -> None:
-        """Relay until either end drops, then tear down."""
-        inbound = threading.Thread(
-            target=self._socket_to_pipe,
-            name=f"repro-host-{self.index}-in",
-            daemon=True,
-        )
-        inbound.start()
-        try:
-            self._pipe_to_socket()
-        finally:
-            self.teardown()
-            inbound.join(timeout=5.0)
-
-    def _socket_to_pipe(self) -> None:
-        try:
-            while True:
-                message = self.conn.recv()
-                self._pipe.send(message)
-        except (EOFError, OSError, WorkerError, pickle.UnpicklingError):
-            pass
-        finally:
-            # Parent gone (or the link desynchronized): reap the worker so
-            # the pipe side unblocks and the session tears down.
-            self.teardown()
-
-    def _pipe_to_socket(self) -> None:
-        try:
-            while True:
-                reply = self._pipe.recv()
-                if reply[0] == "ready":
-                    self._segment = reply[1]
-                elif reply[0] == "events":
-                    self._segment = reply[2]
-                self.conn.send(reply)
-        except (EOFError, OSError, BrokenPipeError):
-            pass
-
-    def teardown(self) -> None:
-        with self._teardown_lock:
-            if self._torn_down:
-                return
-            self._torn_down = True
-        process = self.process
-        if process is not None and process.is_alive():
-            process.terminate()
-        if process is not None:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck in a syscall
-                process.kill()
-                process.join(timeout=5.0)
-        try:
-            self._pipe.close()
-        except OSError:  # pragma: no cover
-            pass
-        _unlink_leaked_segment(self._segment)
-        self._segment = None
-        self.conn.close()
+def _shut(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
 
 class ShardHostServer:
@@ -629,6 +360,12 @@ class ShardHostServer:
     shard state of its own — all determinism lives in the booted config —
     so killing and restarting a shard host is exactly a worker death to
     the connected runtime's supervisor.
+
+    Each connection must send its boot frame within
+    :data:`CONNECT_TIMEOUT_S`; an idle peer is dropped before anything is
+    forked.  The serving loop reaps its workers every tick: a worker whose
+    peer hung up is terminated (even one wedged mid-request), and a dead
+    worker's socket is shut down so its peer sees EOF at once.
 
     Trust model: boot and control frames are pickled (same as
     ``multiprocessing``), so bind only to networks where every peer is
@@ -643,8 +380,9 @@ class ShardHostServer:
         #: The bound (host, port) — read this after ``port=0``.
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._stopping = threading.Event()
-        self._sessions: set = set()
-        self._sessions_lock = threading.Lock()
+        #: Live worker process -> the host's copy of its socket.
+        self._workers: Dict[object, socket.socket] = {}
+        self._workers_lock = threading.Lock()
         # Self-pipe: shutdown() writes a byte so the accept loop's select
         # wakes immediately instead of riding out its timeout slice.
         self._wake_r, self._wake_w = os.pipe()
@@ -655,6 +393,12 @@ class ShardHostServer:
     @property
     def port(self) -> int:
         return self.address[1]
+
+    @property
+    def workers(self) -> List[object]:
+        """The worker processes this host has not reaped yet."""
+        with self._workers_lock:
+            return list(self._workers)
 
     def serve_forever(self) -> None:
         """Accept and serve connections until :meth:`shutdown`."""
@@ -670,19 +414,19 @@ class ShardHostServer:
                     break
                 if self._wake_r in readable or self._stopping.is_set():
                     break
+                self._reap()
                 if not readable:
                     continue
                 try:
                     sock, _peer = self._listener.accept()
                 except OSError:
                     break
-                thread = threading.Thread(
-                    target=self._serve_connection,
+                threading.Thread(
+                    target=self._boot_worker,
                     args=(sock,),
-                    name="repro-host-conn",
+                    name="repro-host-boot",
                     daemon=True,
-                )
-                thread.start()
+                ).start()
         finally:
             # Close from the loop thread so the kernel socket is truly gone
             # (a close racing a concurrent select keeps the LISTEN entry
@@ -694,18 +438,26 @@ class ShardHostServer:
                 pass
             self._done.set()
 
-    def _serve_connection(self, sock: socket.socket) -> None:
+    def _boot_worker(self, sock: socket.socket) -> None:
+        """Read the boot frame under the deadline, then fork the worker."""
+        from .workers import _worker_main, worker_context  # deferred: no cycle
+
         conn = FramedConnection(sock)
-        session = None
         try:
+            if not conn.poll(CONNECT_TIMEOUT_S):
+                raise WorkerError("no boot frame before the deadline")
             boot = conn.recv()
-            if not (isinstance(boot, tuple) and boot and boot[0] == "boot"):
-                conn.send(
-                    ("error", "WorkerError", "expected a boot frame first")
-                )
-                return
-            session = _WorkerSession(conn, boot)
-        except (EOFError, OSError, WorkerError, pickle.UnpicklingError):
+            if boot[0] != "boot":
+                conn.send(("error", "WorkerError", "expected a boot frame first"))
+                raise WorkerError("expected a boot frame first")
+            process = worker_context().Process(
+                target=_worker_main,
+                args=(sock, *boot[1:]),
+                name=f"repro-shard-{boot[1]}",
+                daemon=True,
+            )
+            process.start()
+        except (EOFError, OSError, WorkerError):
             conn.close()
             return
         except BaseException as exc:
@@ -715,16 +467,36 @@ class ShardHostServer:
                 pass
             conn.close()
             return
-        with self._sessions_lock:
-            if self._stopping.is_set():
-                session.teardown()
-                return
-            self._sessions.add(session)
-        try:
-            session.run()
-        finally:
-            with self._sessions_lock:
-                self._sessions.discard(session)
+        with self._workers_lock:
+            self._workers[process] = sock
+            stopping = self._stopping.is_set()
+        if stopping:
+            self._stop_workers()
+
+    def _reap(self) -> None:
+        with self._workers_lock:
+            workers = list(self._workers.items())
+        for process, sock in workers:
+            if not process.is_alive():
+                with self._workers_lock:
+                    self._workers.pop(process, None)
+                _shut(sock)
+            elif _peer_closed(sock):
+                process.terminate()  # reaped (and its socket shut) next tick
+
+    def _stop_workers(self) -> None:
+        with self._workers_lock:
+            workers = list(self._workers.items())
+            self._workers.clear()
+        for process, _ in workers:
+            if process.is_alive():
+                process.terminate()
+        for process, sock in workers:
+            process.join(5.0)
+            if process.is_alive():  # pragma: no cover - stuck in a syscall
+                process.kill()
+                process.join(5.0)
+            _shut(sock)
 
     def shutdown(self, wait_s: float = 5.0) -> None:
         """Stop accepting, kill every live worker, close every link.
@@ -745,8 +517,4 @@ class ShardHostServer:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-            self._sessions.clear()
-        for session in sessions:
-            session.teardown()
+        self._stop_workers()

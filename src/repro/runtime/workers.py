@@ -1,74 +1,77 @@
-"""Process executor workers: persistent shard processes behind pipes.
+"""Worker-backed shards: one worker loop and one proxy for both executors.
 
 The thread executor keeps every shard inside one interpreter, so routing,
 resampling bookkeeping, and event merging all contend for the GIL; only the
-numpy kernels overlap.  This module moves each
+numpy kernels overlap.  The ``process`` and ``remote`` executors move each
 :class:`~repro.runtime.shard.FilterShard` into its own long-lived worker
-process — spawned once at runtime construction, not per epoch — with two
-transport rules that keep the steady-state cost per epoch tiny:
+process — spawned once at runtime construction, not per epoch — that runs
+:func:`_worker_main` over one framed socket
+(:class:`~repro.runtime.transport.FramedConnection`):
 
-* **Pipes carry control, not arrays.**  The per-epoch protocol is a compact
-  tuple per direction: the parent sends the routed object-tag *numbers* plus
-  the broadcast reader pose/shelf context (never a pickled
-  :class:`~repro.streams.records.Epoch`), and the worker replies with the
-  epoch's emitted events encoded as primitive tuples plus its current arena
-  segment.  Checkpoint state trees do cross the pipe, but only on explicit
-  ``snapshot`` / ``restore`` requests — never in the hot loop.
-* **Shared memory carries beliefs.**  Each worker's
-  :class:`~repro.inference.arena.BeliefArena` is backed by a
-  :class:`~repro.inference.arena.SharedSlab`, so the parent can attach and
-  read particle blocks (:meth:`ShardWorkerProxy.arena_view`) without any
-  serialization, and stats collection stays scalar-only.
+* ``process`` forks the worker locally onto one end of a
+  ``socket.socketpair()``;
+* ``remote`` connects to a ``repro shard-host`` over TCP and ships a boot
+  frame (shard index, re-seeded config, output policy, engine factory —
+  the factory carries the world model); the host forks the same worker
+  loop onto the accepted socket.
+
+Either way the parent holds one :class:`ShardWorkerProxy`, which differs
+only in how it connects.  Per epoch the link carries one struct-packed
+``STEP`` frame (the routed sub-epoch) and one ``EVENTS`` reply; checkpoint
+state trees cross only on explicit ``snapshot`` / ``restore`` requests.
+A local worker's :class:`~repro.inference.arena.BeliefArena` is backed by
+a :class:`~repro.inference.arena.SharedSlab`, so the parent reads particle
+blocks by attaching the slab (:meth:`ShardWorkerProxy.arena_view`); off
+host the same call fetches the packed blocks over the link instead.
 
 Determinism: a worker builds its shard from exactly the same re-seeded
-config the in-process executors use, and reconstructs each epoch from the
-same routed content, so the process executor is **bitwise identical** to the
+config the in-process executors use, and decodes each epoch to the same
+routed content, so both worker executors are **bitwise identical** to the
 serial executor at equal shard counts.
 
-Lifecycle: ``ready`` handshake at spawn (carrying the initial arena segment
-so the parent can reclaim it even if the worker later dies uncleanly),
-graceful ``stop`` at teardown (the worker releases its own segment), and a
-parent-side unlink fallback keyed on the last segment each reply advertised.
+Lifecycle: ``ready`` handshake at spawn (carrying the arena segment, and a
+``segment`` notice whenever a grow replaces it, so the parent can reclaim
+it even if the worker later dies uncleanly), graceful ``stop`` at teardown
+(the worker releases its own segment).  ``finish`` replies with the last
+events plus a post-run summary, so a proxy stays queryable after its
+worker retires.
 
-Liveness: every worker runs a heartbeat thread that sends ``("hb",)``
-frames between replies, and every parent-side receive is deadline-bounded
-— there are no unbounded waits in this protocol.  A dead pipe or a silent
-worker (no frames within the heartbeat grace) surfaces promptly as
-:class:`~repro.errors.WorkerError`; a worker whose heartbeats still flow
-but whose reply misses the op deadline surfaces as
-:class:`~repro.errors.WorkerTimeout` (hung, not dead).  Both subclass
-:class:`~repro.errors.InferenceError`, so without a supervisor the
-runtime's abort path reaps every worker exactly as before; with one
+Liveness: every worker runs a heartbeat thread that sends ``HB`` frames
+between replies, and every parent-side receive is deadline-bounded.  A dead
+link, a malformed frame, or a silent worker (no frames within the
+heartbeat grace) surfaces promptly as :class:`~repro.errors.WorkerError`; a
+worker whose heartbeats still flow but whose reply misses the op deadline
+surfaces as :class:`~repro.errors.WorkerTimeout` (hung, not dead).  Both
+subclass :class:`~repro.errors.InferenceError`, so without a supervisor the
+runtime's abort path reaps every worker; with one
 (``RuntimeConfig.supervisor``) the shard is respawned and replayed.
-
-The ``fork`` start method is preferred (no pickling of the model or engine
-factory); on platforms without it the module falls back to ``spawn``, which
-additionally requires the engine factory to be picklable (the default
-:class:`FactoredEngineFactory` is).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
+import socket
 import threading
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..config import InferenceConfig, OutputPolicyConfig
+from ..config import InferenceConfig, OutputPolicyConfig, SupervisorConfig
 from ..errors import InferenceError, StateError, WorkerError, WorkerTimeout
 from ..faults import fault_point
-from ..inference.arena import SharedSlab, attach_shared_slab
+from ..inference.arena import BeliefView, attach_shared_slab
 from ..inference.estimates import LocationEstimate
 from ..models.joint import RFIDWorldModel
-from ..streams.records import LocationEvent, LocationStatistics, TagId, make_epoch
+from ..streams.records import LocationEvent
 from .shard import FilterShard
+from .transport import CONNECT_TIMEOUT_S, FramedConnection, parse_endpoint
 
 #: Cadence of worker heartbeat frames (and the parent's poll slice).
 HEARTBEAT_INTERVAL_S = 0.25
 #: No frame of any kind (reply or heartbeat) for this long ⇒ the worker is
-#: unreachable — declared dead even without an EOF on the pipe.
+#: unreachable — declared dead even without an EOF on the link.
 HEARTBEAT_GRACE_S = 10.0
 #: Per-op deadline when no supervisor sets a tighter one.  Generous — it
 #: exists to turn "hangs forever" into a typed error, not to race real ops.
@@ -99,11 +102,12 @@ def _ensure_resource_tracker() -> None:
 
 
 class FactoredEngineFactory:
-    """Picklable default engine factory for worker processes.
+    """Picklable default engine factory for shards.
 
-    Builds a :class:`~repro.inference.factored.FactoredParticleFilter` with
-    a shared-memory arena, mirroring the runtime's default in-process
-    factory (which closes over the model and so cannot cross a ``spawn``).
+    Builds a :class:`~repro.inference.factored.FactoredParticleFilter`,
+    optionally over a shared-memory arena (local workers, whose parent
+    attaches the slab).  Being a plain object rather than a closure, it
+    crosses a ``spawn`` start or a remote boot frame.
     """
 
     def __init__(
@@ -128,422 +132,320 @@ class FactoredEngineFactory:
 
 
 # ---------------------------------------------------------------------------
-# Wire encoding (events as primitive tuples — no dataclass pickling per event)
-# ---------------------------------------------------------------------------
-def encode_events(events: Sequence[LocationEvent]) -> List[tuple]:
-    rows = []
-    for event in events:
-        stats = event.statistics
-        rows.append(
-            (
-                event.time,
-                event.tag.number,
-                event.position,
-                None
-                if stats is None
-                else (stats.covariance, stats.confidence_radius, stats.sample_size),
-            )
-        )
-    return rows
-
-
-def decode_events(rows: Sequence[tuple]) -> List[LocationEvent]:
-    events = []
-    for time, number, position, stats in rows:
-        statistics = (
-            None
-            if stats is None
-            else LocationStatistics(
-                covariance=stats[0],
-                confidence_radius=stats[1],
-                sample_size=stats[2],
-            )
-        )
-        events.append(
-            LocationEvent(
-                time=time,
-                tag=TagId.object(number),
-                position=position,
-                statistics=statistics,
-            )
-        )
-    return events
-
-
-# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _segment_of(shard: FilterShard) -> Optional[Tuple[str, int, str]]:
+def _segment_of(shard: FilterShard):
     arena = getattr(shard.engine, "arena", None)
-    if arena is None:
-        return None
-    return arena.shared_segment()
+    return None if arena is None else arena.shared_segment()
 
 
-def _release_arena(shard: Optional[FilterShard]) -> None:
-    if shard is None:
-        return
-    arena = getattr(shard.engine, "arena", None)
-    if arena is not None:
-        arena.release()
-
-
-def _pack_belief_fetch(arena):
-    """Pack every live block into contiguous arrays for a ``beliefs`` reply.
-
-    Returns ``(slots, positions, parents, log_weights)`` where ``slots``
-    maps object id → (start, count) into the packed arrays — the same shape
-    a slot table has over the shared slab, so the fetched view and the
-    attached view read identically.
-    """
+def _pack_beliefs(arena) -> tuple:
+    """Every live block packed contiguously, for an off-host ``beliefs``
+    reply: ``(slots, None, (positions, parents, log_weights))`` where
+    ``slots`` maps object id → (start, count) into the packed columns."""
     ids = arena.object_ids()
-    slots: Dict[int, Tuple[int, int]] = {}
-    pos_parts, parent_parts, logw_parts = [], [], []
+    if not ids:
+        empty = np.zeros(0, dtype=arena.dtype)
+        return {}, None, (empty.reshape(0, 3), np.zeros(0, dtype=np.int32), empty)
+    slots: Dict[int, tuple] = {}
     start = 0
     for object_id in ids:
-        block = arena.positions(object_id)
-        slots[object_id] = (start, block.shape[0])
-        start += block.shape[0]
-        pos_parts.append(np.ascontiguousarray(block))
-        parent_parts.append(np.ascontiguousarray(arena.parents(object_id)))
-        logw_parts.append(np.ascontiguousarray(arena.log_weights(object_id)))
-    if not ids:
-        return (
-            slots,
-            np.zeros((0, 3), dtype=arena.dtype),
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=arena.dtype),
-        )
-    return (
-        slots,
-        np.concatenate(pos_parts, axis=0),
-        np.concatenate(parent_parts, axis=0),
-        np.concatenate(logw_parts, axis=0),
+        slots[object_id] = (start, arena.count(object_id))
+        start += arena.count(object_id)
+    columns = tuple(
+        np.concatenate([column(object_id) for object_id in ids])
+        for column in (arena.positions, arena.parents, arena.log_weights)
     )
+    return slots, None, columns
+
+
+def _serve_request(shard: FilterShard, message: tuple) -> List[tuple]:
+    """The replies one request produces (raises on a failed request)."""
+    op = message[0]
+    if op == "step":
+        fault_point("worker.step")
+        shard.step_async(message[1])
+        return [("events", shard.collect_events())]
+    if op == "finish":
+        shard.finish()
+        events = shard.collect_events()
+        known = shard.known_objects()
+        estimates = {number: shard.object_estimate(number) for number in known}
+        return [("events", events), ("ok", (shard.stats(), known, estimates))]
+    if op == "snapshot":
+        return [("ok", shard.snapshot(message[1]))]
+    if op == "restore":
+        shard.restore(message[1])
+        return [("ok", None)]
+    if op == "stats":
+        return [("ok", shard.stats())]
+    if op == "known":
+        return [("ok", shard.known_objects())]
+    if op == "estimate":
+        return [("ok", shard.object_estimate(message[1]))]
+    if op == "beliefs":
+        arena = getattr(shard.engine, "arena", None)
+        if arena is None:
+            return [("ok", None)]
+        segment = arena.shared_segment()
+        if message[1] and segment is not None:  # the parent can attach
+            return [("ok", (arena.slot_table(), segment, None))]
+        return [("ok", _pack_beliefs(arena))]
+    raise InferenceError(f"unknown worker op {op!r}")
 
 
 def _worker_main(
-    conn,
-    shard_index: int,
-    model: RFIDWorldModel,
+    sock: socket.socket,
+    index: int,
     config: InferenceConfig,
     policy: OutputPolicyConfig,
-    initial_heading: float,
     engine_factory,
-    heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
+    heartbeat_interval_s: float,
 ) -> None:
-    """Body of one worker process: build the shard, serve the message loop.
+    """Body of one worker process: build the shard, serve its link.
 
-    Request errors are caught and replied as ``("error", kind, text)`` so a
-    failed snapshot (say, an engine without state capture) leaves the worker
+    Request errors are replied as ``("error", kind, text)`` so a failed
+    snapshot (say, an engine without state capture) leaves the worker
     serving — matching the in-process executors, where a failed checkpoint
-    does not kill the runtime.  Anything that escapes the loop (or the
-    process) surfaces to the parent as a dead pipe.
+    does not kill the runtime.  A lost or desynchronized link ends the
+    loop; anything that kills the process surfaces to the parent as EOF.
     """
-    shard: Optional[FilterShard] = None
-    send_lock = threading.Lock()
-
-    def send(reply: tuple) -> None:
-        with send_lock:
-            conn.send(reply)
-
+    # Forked from a shard host or a service that installed its own signal
+    # handling: terminate() must simply kill a worker, never run (or wake)
+    # the parent's handlers in this copy of its interpreter.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    conn = FramedConnection(sock)
     try:
-        factory = (
-            engine_factory
-            if engine_factory is not None
-            else FactoredEngineFactory(model, initial_heading)
-        )
-        shard = FilterShard(shard_index, factory(config), policy)
-        send(("ready", _segment_of(shard)))
+        shard = FilterShard(index, engine_factory(config), policy)
     except BaseException as exc:  # construction failed: report and bail
         try:
             conn.send(("error", type(exc).__name__, str(exc)))
         finally:
             conn.close()
         return
-    # Heartbeats prove liveness between replies: the parent treats a silent
-    # pipe as a dead worker, and a heartbeating-but-late reply as a hang.
+    segment = _segment_of(shard)
     hb_stop = threading.Event()
 
+    # Heartbeats prove liveness between replies: the parent treats a silent
+    # link as a dead worker, and a heartbeating-but-late reply as a hang.
     def _heartbeat() -> None:
         while not hb_stop.wait(heartbeat_interval_s):
             try:
-                send(("hb",))
+                conn.send(("hb",))
             except OSError:
                 return
 
-    hb_thread = threading.Thread(
-        target=_heartbeat, name=f"repro-shard-{shard_index}-hb", daemon=True
-    )
-    hb_thread.start()
     try:
+        conn.send(("ready", segment))
+        threading.Thread(
+            target=_heartbeat, name=f"repro-shard-{index}-hb", daemon=True
+        ).start()
         while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            op = message[0]
-            if op == "stop":
-                send(("bye",))
+            message = conn.recv()
+            if message[0] == "stop":
+                conn.send(("bye",))
                 break
             try:
-                if op == "step":
-                    fault_point("worker.step")
-                    _, time, position, heading, object_numbers, shelf_numbers = message
-                    shard.step(
-                        make_epoch(
-                            time,
-                            position,
-                            object_tags=object_numbers,
-                            shelf_tags=shelf_numbers,
-                            reported_heading=heading,
-                        )
-                    )
-                    send(
-                        ("events", encode_events(shard.drain()), _segment_of(shard))
-                    )
-                elif op == "finish":
-                    shard.finish()
-                    send(
-                        ("events", encode_events(shard.drain()), _segment_of(shard))
-                    )
-                elif op == "snapshot":
-                    mode = message[1] if len(message) > 1 else "full"
-                    send(("ok", shard.snapshot(mode)))
-                elif op == "restore":
-                    shard.restore(message[1])
-                    send(("ok", None))
-                elif op == "stats":
-                    send(("ok", shard.stats()))
-                elif op == "known":
-                    send(("ok", shard.known_objects()))
-                elif op == "final":
-                    # Bulk post-run summary: one reply instead of one
-                    # round-trip per object, so the parent can retire the
-                    # worker while staying queryable after finish().
-                    known = shard.known_objects()
-                    estimates = {}
-                    for number in known:
-                        est = shard.object_estimate(number)
-                        estimates[number] = (
-                            est.mean,
-                            est.covariance,
-                            est.sample_size,
-                        )
-                    send(("ok", (shard.stats(), known, estimates)))
-                elif op == "estimate":
-                    estimate = shard.object_estimate(message[1])
-                    send(
-                        (
-                            "ok",
-                            (
-                                estimate.mean,
-                                estimate.covariance,
-                                estimate.sample_size,
-                            ),
-                        )
-                    )
-                elif op == "slots":
-                    arena = getattr(shard.engine, "arena", None)
-                    if arena is None:
-                        send(("ok", None))
-                    else:
-                        send(
-                            ("ok", (arena.shared_segment(), arena.slot_table()))
-                        )
-                elif op == "beliefs":
-                    # Explicit belief fetch: the off-host replacement for
-                    # attaching the shared slab.  Ships every live block
-                    # packed contiguously plus a slot table into the pack.
-                    arena = getattr(shard.engine, "arena", None)
-                    if arena is None:
-                        send(("ok", None))
-                    else:
-                        send(("ok", _pack_belief_fetch(arena)))
-                else:
-                    send(
-                        ("error", "InferenceError", f"unknown worker op {op!r}")
-                    )
+                replies = _serve_request(shard, message)
             except BaseException as exc:
-                send(("error", type(exc).__name__, str(exc)))
+                replies = [("error", type(exc).__name__, str(exc))]
+            if _segment_of(shard) != segment:
+                segment = _segment_of(shard)
+                conn.send(("segment", segment))
+            for reply in replies:
+                conn.send(reply)
+    except (EOFError, OSError, WorkerError):
+        pass  # the parent is gone, or the link desynchronized
     finally:
         hb_stop.set()
-        _release_arena(shard)
+        arena = getattr(shard.engine, "arena", None)
+        if arena is not None:
+            arena.release()
         conn.close()
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
-class ArenaView:
-    """Read-only view of a worker's belief slab, attached in the parent.
+class ShardWorkerProxy:
+    """Parent-side handle to one shard worker, local or remote.
 
-    Wraps the shared segment plus a point-in-time slot table; valid until
-    the worker grows its arena (re-fetch via
-    :meth:`ShardWorkerProxy.arena_view`) and must be :meth:`close`\\ d.
-    Reads are consistent between steps — the worker only mutates the slab
-    while serving a ``step``.
+    Implements the runtime's split-phase shard surface (``step_async`` /
+    ``collect_events``, ``finish``, ``snapshot_async`` /
+    ``collect_snapshot``, ``close``) plus the
+    :class:`~repro.runtime.shard.FilterShard` query surface over one
+    :class:`~repro.runtime.transport.FramedConnection`.  With ``endpoint``
+    unset it forks a local worker onto a socketpair (:attr:`process` holds
+    it); with ``endpoint="host:port"`` it boots one on a shard host.
     """
 
-    def __init__(self, slab: SharedSlab, slots: Dict[int, Tuple[int, int]]):
-        self._slab = slab
-        self.slots = slots
-
-    def object_ids(self) -> List[int]:
-        return list(self.slots)
-
-    def _slice(self, object_id: int) -> slice:
-        try:
-            start, count = self.slots[object_id]
-        except KeyError:
-            raise InferenceError(
-                f"object {object_id} has no block in the shared slab"
-            ) from None
-        return slice(start, start + count)
-
-    def positions(self, object_id: int) -> np.ndarray:
-        return self._slab.positions[self._slice(object_id)]
-
-    def parents(self, object_id: int) -> np.ndarray:
-        return self._slab.parents[self._slice(object_id)]
-
-    def log_weights(self, object_id: int) -> np.ndarray:
-        return self._slab.log_weights[self._slice(object_id)]
-
-    def close(self) -> None:
-        self._slab.close()
-
-
-class ShardProxyBase:
-    """The shard-worker protocol, independent of the transport underneath.
-
-    Everything that speaks the tuple protocol — the split-phase step, the
-    :class:`~repro.runtime.shard.FilterShard` query/snapshot surface, the
-    heartbeat-aware deadline-bounded receive — lives here and operates on
-    ``self._conn``, which only needs the ``multiprocessing.Connection``
-    trio ``send`` / ``recv`` / ``poll``.  :class:`ShardWorkerProxy` plugs
-    in a pipe to a forked local worker;
-    :class:`~repro.runtime.transport.RemoteShardProxy` plugs in a framed
-    TCP socket to a ``repro shard-host`` pool.
-    """
-
-    #: Local proxies hold the worker's ``multiprocessing.Process`` here;
-    #: remote proxies leave it ``None`` (liveness goes through
-    #: :meth:`is_alive` instead).
-    process = None
-
-    def _init_protocol(
+    def __init__(
         self,
         index: int,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-    ) -> None:
+        config: InferenceConfig,
+        policy: OutputPolicyConfig,
+        engine_factory,
+        endpoint: Optional[str] = None,
+        supervisor: Optional[SupervisorConfig] = None,
+    ):
         self.index = index
+        self.endpoint = endpoint
         #: Deadline for one op (send → final reply).  Supervised runtimes
         #: tighten this from SupervisorConfig.op_timeout_s.
         self.op_timeout_s = (
-            float(op_timeout_s) if op_timeout_s is not None else DEFAULT_OP_TIMEOUT_S
+            supervisor.op_timeout_s if supervisor else DEFAULT_OP_TIMEOUT_S
         )
         self.heartbeat_interval_s = (
-            float(heartbeat_interval_s)
-            if heartbeat_interval_s is not None
-            else HEARTBEAT_INTERVAL_S
+            supervisor.heartbeat_interval_s if supervisor else HEARTBEAT_INTERVAL_S
         )
         self.heartbeat_grace_s = (
-            float(heartbeat_grace_s)
-            if heartbeat_grace_s is not None
-            else HEARTBEAT_GRACE_S
+            supervisor.heartbeat_grace_s if supervisor else HEARTBEAT_GRACE_S
         )
+        #: The local worker process (None for remote workers, and once closed).
+        self.process = None
         self._dead = False
-        #: Last (name, capacity, dtype) the worker advertised — the
-        #: reclamation key if a local worker dies without releasing its own
-        #: segment (informational only for remote proxies).
-        self._segment: Optional[Tuple[str, int, str]] = None
-
-    def _handshake(self) -> None:
-        reply = self._recv()  # ready handshake (or construction error)
-        if reply[0] != "ready":
-            raise InferenceError(
-                f"shard worker {self.index} sent {reply[0]!r} instead of ready"
-            )
+        self._closed = False
+        self._finishing = False
+        #: (stats, known objects, {number: LocationEstimate}) shipped by
+        #: ``finish`` — answers queries once the worker has retired.
+        self._final: Optional[tuple] = None
+        #: Last (name, capacity, dtype) a local worker advertised — the
+        #: reclamation key if it dies without releasing its own segment.
+        self._segment = None
+        boot = (index, config, policy, engine_factory, self.heartbeat_interval_s)
+        if endpoint is None:
+            self._conn = self._fork(boot)
+        else:
+            self._conn = self._connect(boot)
+        try:
+            reply = self._recv()
+            if reply[0] != "ready":
+                raise InferenceError(
+                    f"shard worker {index} sent {reply[0]!r} instead of ready"
+                )
+        except BaseException:
+            self.close(force=True)
+            raise
         self._segment = reply[1]
+
+    def _fork(self, boot: tuple) -> FramedConnection:
+        ctx = worker_context()
+        _ensure_resource_tracker()
+        parent_sock, child_sock = socket.socketpair()
+        self.process = ctx.Process(
+            target=_worker_main,
+            args=(child_sock, *boot),
+            name=f"repro-shard-{self.index}",
+            daemon=True,
+        )
+        try:
+            self.process.start()
+        finally:
+            child_sock.close()  # the worker's copy is its own now
+        return FramedConnection(parent_sock)
+
+    def _connect(self, boot: tuple) -> FramedConnection:
+        try:
+            sock = socket.create_connection(
+                parse_endpoint(self.endpoint), timeout=CONNECT_TIMEOUT_S
+            )
+            conn = FramedConnection(sock)
+        except OSError as exc:
+            raise WorkerError(
+                f"shard worker {self.index}: cannot reach shard host "
+                f"{self.endpoint}: {exc}"
+            ) from exc
+        try:
+            conn.send(("boot", *boot))
+        except OSError as exc:
+            conn.close()
+            raise WorkerError(
+                f"shard worker {self.index}: shard host {self.endpoint} "
+                "dropped the boot frame"
+            ) from exc
+        return conn
 
     # -- liveness -------------------------------------------------------
     def is_alive(self) -> bool:
         """Whether the worker behind this proxy is believed reachable."""
-        return not self._dead and self._transport_alive()
-
-    def _transport_alive(self) -> bool:
-        raise NotImplementedError
-
-    def _closed(self) -> bool:
-        """Whether this proxy was torn down (weaker than ``not is_alive``:
-        a worker that just died still has an open transport until the next
-        send/recv surfaces the EOF as a typed error)."""
-        raise NotImplementedError
+        return (
+            not self._dead
+            and self._conn.alive
+            and (self.process is None or self.process.is_alive())
+        )
 
     def _death_detail(self) -> str:
-        """Transport-specific suffix for death messages (may be empty)."""
-        return ""
+        if self.endpoint is not None:
+            return f" (shard host {self.endpoint})"
+        return "" if self.process is None else f" (exit code {self.process.exitcode})"
 
     # -- plumbing ------------------------------------------------------
     def _send(self, message: tuple) -> None:
-        if self._dead or self._closed():
+        if self._dead:
             raise WorkerError(f"shard worker {self.index} is not running")
         fault_point("worker.send")
         try:
             self._conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             self._dead = True
             raise WorkerError(
                 f"shard worker {self.index} died (connection closed on send)"
             ) from exc
 
-    def _recv(self, timeout: Optional[float] = None) -> tuple:
-        """Deadline-bounded receive; heartbeat frames are consumed silently.
+    def _recv(self) -> tuple:
+        """Deadline-bounded receive; heartbeat and segment notices are
+        consumed silently.
 
-        Never blocks forever: a dead connection raises :class:`WorkerError`
-        immediately, a silent worker (no frame within
+        Never blocks forever: a dead or desynchronized link raises
+        :class:`WorkerError` immediately, a silent worker (no frame within
         ``heartbeat_grace_s``) raises :class:`WorkerError`, and a worker
         whose heartbeats flow but whose reply misses the op deadline
         raises :class:`WorkerTimeout`.
         """
         fault_point("worker.recv")
-        limit = self.op_timeout_s if timeout is None else float(timeout)
-        start = _time.monotonic()
-        last_frame = start
+        limit = self.op_timeout_s
+        start = last_frame = _time.monotonic()
         while True:
-            now = _time.monotonic()
-            if now - start >= limit:
+            elapsed = _time.monotonic() - start
+            if elapsed >= limit:
                 self._dead = True
                 raise WorkerTimeout(
                     f"shard worker {self.index} hung: no reply within "
                     f"{limit:.1f}s (heartbeats still arriving)"
                 )
             try:
-                if not self._conn.poll(
-                    min(self.heartbeat_interval_s, limit - (now - start))
-                ):
-                    if _time.monotonic() - last_frame >= self.heartbeat_grace_s:
-                        self._dead = True
-                        raise WorkerError(
-                            f"shard worker {self.index} died silently: no "
-                            f"frames for {self.heartbeat_grace_s:.1f}s"
-                            f"{self._death_detail()}"
-                        )
-                    continue
-                reply = self._conn.recv()
+                ready = self._conn.poll(min(self.heartbeat_interval_s, limit - elapsed))
+                reply = self._conn.recv() if ready else None
             except (EOFError, OSError) as exc:
                 self._dead = True
                 raise WorkerError(
                     f"shard worker {self.index} died mid-request"
                     f"{self._death_detail()}"
                 ) from exc
-            last_frame = _time.monotonic()
-            if reply[0] == "hb":
+            except WorkerError as exc:
+                self._dead = True
+                raise WorkerError(
+                    f"shard worker {self.index} link broke: {exc}"
+                    f"{self._death_detail()}"
+                ) from exc
+            if reply is None:
+                if _time.monotonic() - last_frame >= self.heartbeat_grace_s:
+                    self._dead = True
+                    raise WorkerError(
+                        f"shard worker {self.index} died silently: no "
+                        f"frames for {self.heartbeat_grace_s:.1f}s"
+                        f"{self._death_detail()}"
+                    )
                 continue
-            if reply[0] == "error":
+            last_frame = _time.monotonic()
+            op = reply[0]
+            if op == "hb":
+                continue
+            if op == "segment":
+                self._segment = reply[1]
+                continue
+            if op == "error":
                 _, kind, text = reply
                 if kind == "StateError":
                     raise StateError(f"shard worker {self.index}: {text}")
@@ -554,162 +456,71 @@ class ShardProxyBase:
         self._send(message)
         return self._recv()
 
-    def _collect_event_reply(self) -> List[LocationEvent]:
+    # -- the split-phase shard surface ---------------------------------
+    def step_async(self, epoch) -> None:
+        self._send(("step", epoch))
+
+    def finish(self) -> None:
+        self._send(("finish",))
+        self._finishing = True
+
+    def collect_events(self) -> List[LocationEvent]:
         reply = self._recv()
         if reply[0] != "events":
             raise InferenceError(
                 f"shard worker {self.index} sent {reply[0]!r} instead of events"
             )
-        _, rows, segment = reply
-        self._segment = segment
-        return decode_events(rows)
-
-    # -- the split-phase epoch step ------------------------------------
-    def step_async(
-        self,
-        time: float,
-        reported_position,
-        reported_heading,
-        object_numbers: Sequence[int],
-        shelf_numbers: Sequence[int],
-    ) -> None:
-        self._send(
-            ("step", time, reported_position, reported_heading, object_numbers, shelf_numbers)
-        )
-
-    def finish_async(self) -> None:
-        self._send(("finish",))
-
-    def collect_events(self) -> List[LocationEvent]:
-        return self._collect_event_reply()
-
-    # -- FilterShard surface -------------------------------------------
-    def known_objects(self) -> List[int]:
-        return self._request(("known",))[1]
-
-    def object_estimate(self, number: int) -> LocationEstimate:
-        mean, covariance, sample_size = self._request(("estimate", number))[1]
-        return LocationEstimate(
-            mean=np.asarray(mean, dtype=float),
-            covariance=np.asarray(covariance, dtype=float),
-            sample_size=int(sample_size),
-        )
-
-    def stats(self) -> Dict[str, float]:
-        return self._request(("stats",))[1]
-
-    def final_async(self) -> None:
-        self._send(("final",))
-
-    def collect_final(self):
-        """(stats, known objects, {number: LocationEstimate}) in one reply."""
-        stats, known, estimates = self._recv()[1]
-        return (
-            stats,
-            known,
-            {
-                number: LocationEstimate(
-                    mean=np.asarray(mean, dtype=float),
-                    covariance=np.asarray(covariance, dtype=float),
-                    sample_size=int(sample_size),
-                )
-                for number, (mean, covariance, sample_size) in estimates.items()
-            },
-        )
+        if self._finishing:
+            self._final = self._recv()[1]
+        return reply[1]
 
     def snapshot_async(self, mode: str = "full") -> None:
+        """Request the worker shard's state tree; ``mode="delta"`` ships
+        only its dirty blocks, cutting link traffic like disk bytes."""
         self._send(("snapshot", mode))
 
     def collect_snapshot(self) -> dict:
         return self._recv()[1]
 
-    def snapshot(self, mode: str = "full") -> dict:
-        """Capture the worker shard's state tree over the pipe.
-
-        ``mode="delta"`` makes the worker ship only its dirty blocks —
-        delta-mode checkpoints cut pipe traffic the same way they cut disk
-        bytes.
-        """
-        self.snapshot_async(mode)
-        return self.collect_snapshot()
-
     def restore(self, state: dict) -> None:
         self._request(("restore", state))
 
+    # -- FilterShard query surface -------------------------------------
+    def known_objects(self) -> List[int]:
+        if self._final is not None:
+            return list(self._final[1])
+        return self._request(("known",))[1]
 
-class ShardWorkerProxy(ShardProxyBase):
-    """Parent-side handle to one persistent *local* shard worker.
+    def object_estimate(self, number: int) -> LocationEstimate:
+        if self._final is None:
+            return self._request(("estimate", number))[1]
+        try:
+            return self._final[2][number]
+        except KeyError:
+            raise InferenceError(f"unknown object {number}") from None
 
-    Speaks the tuple protocol over a multiprocessing pipe to a worker
-    forked at construction, and reads beliefs zero-copy through the
-    worker's shared-memory slab (:meth:`arena_view`).
-    """
+    def stats(self) -> Dict[str, float]:
+        if self._final is not None:
+            row = dict(self._final[0])
+        else:
+            row = self._request(("stats",))[1]
+        row["wire_bytes_sent"] = self._conn.bytes_sent
+        row["wire_bytes_recv"] = self._conn.bytes_received
+        return row
 
-    def __init__(
-        self,
-        index: int,
-        model: RFIDWorldModel,
-        config: InferenceConfig,
-        policy: OutputPolicyConfig,
-        initial_heading: float = 0.0,
-        engine_factory=None,
-        context: Optional[mp.context.BaseContext] = None,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-    ):
-        self._init_protocol(
-            index, op_timeout_s, heartbeat_interval_s, heartbeat_grace_s
-        )
-        ctx = context if context is not None else worker_context()
-        _ensure_resource_tracker()
-        self._conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                index,
-                model,
-                config,
-                policy,
-                initial_heading,
-                engine_factory,
-                self.heartbeat_interval_s,
-            ),
-            name=f"repro-shard-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self._handshake()
-
-    # -- liveness -------------------------------------------------------
-    def _transport_alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def _closed(self) -> bool:
-        return self.process is None
-
-    def _death_detail(self) -> str:
-        process = self.process
-        if process is None:
-            return ""
-        return f" (exit code {process.exitcode})"
-
-    # -- shared-memory reads -------------------------------------------
-    def arena_view(self) -> ArenaView:
-        """Attach to the worker's belief slab: zero-copy particle reads.
-
-        Raises :class:`InferenceError` for engines without a shared arena.
-        """
-        payload = self._request(("slots",))[1]
-        if payload is None or payload[0] is None:
-            raise InferenceError(
-                f"shard worker {self.index} has no shared belief arena"
-            )
-        (name, capacity, dtype), slots = payload
-        self._segment = (name, capacity, dtype)
-        return ArenaView(attach_shared_slab(name, capacity, dtype), slots)
+    def arena_view(self) -> Optional[BeliefView]:
+        """The worker's beliefs: an attach of its shared slab (zero-copy)
+        for a local worker, a packed fetch over the link otherwise; None
+        for engines without an arena."""
+        payload = self._request(("beliefs", self.process is not None))[1]
+        if payload is None:
+            return None
+        slots, segment, columns = payload
+        if segment is None:
+            return BeliefView(slots, *columns)
+        self._segment = segment
+        slab = attach_shared_slab(*segment)
+        return BeliefView(slots, slab.positions, slab.parents, slab.log_weights, slab)
 
     # -- teardown -------------------------------------------------------
     def _unlink_segment(self) -> None:
@@ -723,9 +534,8 @@ class ShardWorkerProxy(ShardProxyBase):
         segment, self._segment = self._segment, None
         if segment is None:
             return
-        name, capacity, dtype = segment
         try:
-            slab = attach_shared_slab(name, capacity, dtype)
+            slab = attach_shared_slab(*segment)
         except FileNotFoundError:
             return
         slab.unlink()
@@ -734,37 +544,41 @@ class ShardWorkerProxy(ShardProxyBase):
     def close(self, force: bool = False, timeout: float = 5.0) -> None:
         """Stop the worker and reclaim its resources.  Idempotent.
 
-        Graceful by default (``stop`` message, worker releases its own
-        segment); ``force`` (or an unresponsive worker) escalates to
-        ``terminate``.  Either way the process is joined and any leaked
-        shared-memory segment is unlinked.
+        Graceful by default (``stop``, drain to ``bye``; the worker releases
+        its own segment); ``force`` (or an unresponsive worker) skips the
+        goodbye.  A local worker is then joined — terminated if it does not
+        exit — and any leaked shared-memory segment unlinked; a remote one
+        is reaped by its shard host once the link closes.
         """
-        if self.process is None:
+        if self._closed:
             return
-        if not force and not self._dead and self.process.is_alive():
+        graceful = not force and self.is_alive()
+        self._closed = self._dead = True
+        conn, process = self._conn, self.process
+        if graceful:
             try:
-                self._conn.send(("stop",))
+                conn.send(("stop",))
                 # Drain queued replies (e.g. an uncollected step) and
                 # heartbeat frames until the goodbye; a deadline bounds a
                 # wedged worker even while its heartbeats keep arriving.
                 deadline = _time.monotonic() + timeout
-                while _time.monotonic() < deadline and self._conn.poll(
+                while _time.monotonic() < deadline and conn.poll(
                     max(0.0, deadline - _time.monotonic())
                 ):
-                    if self._conn.recv()[0] == "bye":
+                    if conn.recv()[0] == "bye":
                         break
-            except (BrokenPipeError, EOFError, OSError):
+            except (EOFError, OSError, WorkerError):
                 pass
-        elif self.process.is_alive():
-            # Forced (or already-dead-pipe) close: don't wait out a hung
-            # worker's join timeout before killing it — the caller already
-            # decided this process is beyond talking to.
-            self.process.terminate()
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        self._conn.close()
-        self._unlink_segment()
+        conn.close()
+        if process is None:
+            return
+        if not graceful and process.is_alive():
+            # Forced (or already-dead link): don't wait out a hung worker's
+            # join timeout before killing it.
+            process.terminate()
+        process.join(timeout)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout)
         self.process = None
-        self._dead = True
+        self._unlink_segment()

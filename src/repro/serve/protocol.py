@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from ..errors import ServeError
 from ..streams.records import ReaderLocationReport, TagId, TagKind, TagReading
@@ -126,12 +126,40 @@ class Frame:
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
-def _wrap(kind: int, payload: bytes = b"") -> bytes:
+def wrap_frame(kind: int, payload: bytes = b"") -> bytes:
+    """``u32 length | u8 kind | payload`` — the framing every wire here uses."""
     return _LEN.pack(len(payload) + 1) + bytes([kind]) + payload
 
 
+def split_frames(
+    buffer: bytearray, max_frame_bytes: int, error: Type[Exception] = ServeError
+) -> Iterator[Tuple[int, bytes]]:
+    """Pop every complete ``(kind, payload)`` frame off the front of ``buffer``.
+
+    A partial tail stays buffered for the next call.  A zero-length or
+    oversized length prefix raises ``error`` — framing has desynchronized,
+    so the caller should drop the connection.  The ingest decoder and the
+    shard transport both split with this, so their framing cannot drift.
+    """
+    while len(buffer) >= _LEN.size:
+        (length,) = _LEN.unpack_from(buffer)
+        if length < 1:
+            raise error("zero-length frame")
+        if length > max_frame_bytes:
+            raise error(
+                f"frame of {length} bytes exceeds the {max_frame_bytes}-byte limit"
+            )
+        end = _LEN.size + length
+        if len(buffer) < end:
+            return
+        kind = buffer[_LEN.size]
+        payload = bytes(buffer[_LEN.size + 1 : end])
+        del buffer[:end]
+        yield kind, payload
+
+
 def _wrap_json(kind: int, doc: Dict[str, Any]) -> bytes:
-    return _wrap(kind, json.dumps(doc, sort_keys=True).encode())
+    return wrap_frame(kind, json.dumps(doc, sort_keys=True).encode())
 
 
 def encode_hello(
@@ -156,7 +184,7 @@ def encode_hello_ack(**fields: Any) -> bytes:
 
 
 def encode_reading(seq: int, reading: TagReading) -> bytes:
-    return _wrap(
+    return wrap_frame(
         READING,
         _READING.pack(
             seq,
@@ -170,7 +198,7 @@ def encode_reading(seq: int, reading: TagReading) -> bytes:
 def encode_report(seq: int, report: ReaderLocationReport) -> bytes:
     x, y, z = report.position
     has_heading = report.heading is not None
-    return _wrap(
+    return wrap_frame(
         REPORT,
         _REPORT.pack(
             seq,
@@ -185,36 +213,36 @@ def encode_report(seq: int, report: ReaderLocationReport) -> bytes:
 
 
 def encode_source_end() -> bytes:
-    return _wrap(SOURCE_END)
+    return wrap_frame(SOURCE_END)
 
 
 def encode_end_ack() -> bytes:
-    return _wrap(END_ACK)
+    return wrap_frame(END_ACK)
 
 
 def encode_credit(n: int) -> bytes:
-    return _wrap(CREDIT, _CREDIT.pack(n))
+    return wrap_frame(CREDIT, _CREDIT.pack(n))
 
 
 def encode_pause() -> bytes:
-    return _wrap(PAUSE)
+    return wrap_frame(PAUSE)
 
 
 def encode_resume() -> bytes:
-    return _wrap(RESUME)
+    return wrap_frame(RESUME)
 
 
 def encode_emit(offset: int, line: bytes, degraded: bool = False) -> bytes:
     flags = EMIT_FLAG_DEGRADED if degraded else 0
-    return _wrap(EMIT, _EMIT_HEAD.pack(offset, flags) + line)
+    return wrap_frame(EMIT, _EMIT_HEAD.pack(offset, flags) + line)
 
 
 def encode_ack(offset: int) -> bytes:
-    return _wrap(ACK, _OFFSET.pack(offset))
+    return wrap_frame(ACK, _OFFSET.pack(offset))
 
 
 def encode_stats_request() -> bytes:
-    return _wrap(STATS)
+    return wrap_frame(STATS)
 
 
 def encode_stats_reply(stats: Dict[str, Any]) -> bytes:
@@ -297,22 +325,7 @@ class FrameDecoder:
         self._buffer.extend(chunk)
 
     def frames(self) -> Iterator[Frame]:
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length < 1:
-                raise ServeError("zero-length frame")
-            if length > self._max:
-                raise ServeError(
-                    f"frame of {length} bytes exceeds the {self._max}-byte limit"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                return
-            kind = self._buffer[_LEN.size]
-            payload = bytes(self._buffer[_LEN.size + 1 : end])
-            del self._buffer[:end]
+        for kind, payload in split_frames(self._buffer, self._max):
             yield _decode_payload(kind, payload)
 
     def feed_frames(self, chunk: bytes) -> List[Frame]:

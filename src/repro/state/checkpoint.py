@@ -213,33 +213,30 @@ def _encode_shard_state(state: dict) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
-    """Snapshot every shard, overlapping workers when they support it.
+    """Snapshot every shard through the split-phase surface.
 
-    Process-executor proxies expose a split-phase ``snapshot_async`` /
-    ``collect_snapshot`` pair; requesting all shards before collecting any
-    lets the workers serialize their state trees concurrently instead of one
-    at a time.  Every pending reply is always collected — even after a
-    failure — so the pipes stay in sync; the first error is re-raised once
-    the sweep completes.
+    Requesting all shards before collecting any lets worker shards
+    serialize their state trees concurrently instead of one at a time.
+    Every pending reply is always collected — even after a failure — so
+    the worker links stay in sync; the first error is re-raised once the
+    sweep completes.
     """
-    if len(shards) > 1 and all(hasattr(s, "snapshot_async") for s in shards):
-        for shard in shards:
-            shard.snapshot_async(mode)
-        states: List[Optional[dict]] = []
-        failure: Optional[BaseException] = None
-        for shard in shards:
-            try:
-                states.append(shard.collect_snapshot())
-            except (StateError, InferenceError) as exc:
-                # Keep draining: a reply left behind on a healthy worker's
-                # pipe would be misread by the next request after the caller
-                # handles this checkpoint failure and keeps streaming.
-                failure = failure if failure is not None else exc
-                states.append(None)
-        if failure is not None:
-            raise failure
-        return states
-    return [shard.snapshot(mode) for shard in shards]
+    for shard in shards:
+        shard.snapshot_async(mode)
+    states: List[Optional[dict]] = []
+    failure: Optional[BaseException] = None
+    for shard in shards:
+        try:
+            states.append(shard.collect_snapshot())
+        except (StateError, InferenceError) as exc:
+            # Keep draining: a reply left behind on a healthy worker's
+            # link would be misread by the next request after the caller
+            # handles this checkpoint failure and keeps streaming.
+            failure = failure if failure is not None else exc
+            states.append(None)
+    if failure is not None:
+        raise failure
+    return states
 
 
 def _read_manifest_json(path: str) -> dict:

@@ -10,6 +10,8 @@ Parity has two tiers, mirroring the per-shard seed derivation:
   tolerance the seed-golden tests use for RNG-order changes (0.6 ft).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -310,7 +312,8 @@ class TestShardedParity:
         )
         with pytest.raises(RuntimeError, match="engine blew up"):
             runtime.run(trace.epochs())
-        assert runtime._pool is None
+        threads = [t.name for t in threading.enumerate()]
+        assert not [name for name in threads if name.startswith("repro-shard")]
         assert runtime.bus.closed
         runtime.finish()  # no-op after abort
 

@@ -16,7 +16,11 @@ The contracts under test:
   objects.
 """
 
+import pickle
+import socket
+import struct
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,15 +32,31 @@ from repro.config import (
     RuntimeConfig,
     SupervisorConfig,
 )
+from repro import faults
 from repro.errors import WorkerError
-from repro.runtime import ShardedRuntime
+from repro.faults import FaultPlan, FaultRule
+from repro.runtime import FactoredEngineFactory, ShardedRuntime, ShardWorkerProxy
+from repro.runtime import transport
 from repro.runtime.transport import (
+    T_CONTROL,
+    T_EVENTS,
+    T_HB,
+    T_STEP,
+    FramedConnection,
     ShardHostServer,
     decode_payload,
     encode_message,
     parse_endpoint,
 )
+from repro.runtime.workers import HEARTBEAT_GRACE_S
+from repro.serve.protocol import wrap_frame
 from repro.state import reshard_states, restore_runtime
+from repro.streams.records import (
+    LocationEvent,
+    LocationStatistics,
+    TagId,
+    make_epoch,
+)
 
 POLICY = OutputPolicyConfig(delay_s=20.0)
 
@@ -92,52 +112,229 @@ def assert_events_equal(events, reference):
         assert ours.statistics == ref.statistics
 
 
+def wire_roundtrip(message):
+    frame = encode_message(message)
+    (length,) = struct.unpack("!I", frame[:4])
+    assert length == len(frame) - 4
+    return decode_payload(frame[4], frame[5:])
+
+
 class TestWireCodec:
     def test_step_frame_roundtrip_is_exact(self):
-        message = (
-            "step",
+        epoch = make_epoch(
             12.5,
             (1.25, -3.5, 0.0),
-            0.7853981633974483,
-            [3, 1, 4, 1, 5],
-            [9, 2, 6],
+            object_tags=[3, 1, 4, 1, 5],
+            shelf_tags=[9, 2, 6],
+            reported_heading=0.7853981633974483,
         )
-        frame = encode_message(message)
-        kind, payload = frame[4], frame[5:]
-        decoded = decode_payload(kind, payload)
-        assert decoded[0] == "step"
-        assert decoded[1] == message[1]
-        assert decoded[2] == message[2]
-        assert decoded[3] == message[3]
-        assert list(decoded[4]) == message[4]
-        assert list(decoded[5]) == message[5]
+        op, decoded = wire_roundtrip(("step", epoch))
+        assert op == "step"
+        assert decoded == epoch
 
     def test_step_frame_dropout_epoch(self):
         """Handheld readers / positioning dropouts: no position, no
         heading — both must round-trip as None, not as the origin."""
-        frame = encode_message(("step", 1.0, None, None, [], []))
-        decoded = decode_payload(frame[4], frame[5:])
-        assert decoded[2] is None and decoded[3] is None
-        assert decoded[4] == [] and decoded[5] == []
+        _, decoded = wire_roundtrip(("step", make_epoch(1.0)))
+        assert decoded.reported_position is None
+        assert decoded.reported_heading is None
+        assert decoded.object_tags == frozenset() == decoded.shelf_tags
 
     def test_events_frame_preserves_flat_covariance(self):
-        """LocationStatistics.covariance is a flat row-major 9-tuple on
-        the pipe; the socket frame must reproduce exactly that shape."""
+        """LocationStatistics.covariance is a flat row-major 9-tuple; the
+        EVENTS frame must reproduce exactly that shape, bit for bit."""
         covariance = tuple(float(v) for v in range(9))
-        row = (30.0, 4, np.array([1.0, 2.0, 3.0]), (covariance, 0.25, 17))
-        frame = encode_message(("events", [row, (31.0, 5, np.zeros(3), None)], "seg"))
-        kind, payload = frame[4], frame[5:]
-        op, rows, segment = decode_payload(kind, payload)
-        assert op == "events" and segment is None
-        time, number, position, out_stats = rows[0]
-        assert time == 30.0 and number == 4
-        np.testing.assert_array_equal(position, row[2])
-        assert out_stats[0] == covariance
-        assert out_stats[1] == 0.25 and out_stats[2] == 17
-        assert rows[1][3] is None
+        events = [
+            LocationEvent(
+                30.0,
+                TagId.object(4),
+                (1.0, 2.0, 3.0),
+                LocationStatistics(covariance, 0.25, 17),
+            ),
+            LocationEvent(31.0, TagId.object(5), (0.0, 0.0, 0.0)),
+        ]
+        op, decoded = wire_roundtrip(("events", events))
+        assert op == "events"
+        assert decoded == events
+        assert decoded[0].statistics.covariance == covariance
+        assert decoded[1].statistics is None
 
     def test_parse_endpoint(self):
         assert parse_endpoint("10.0.0.7:9200") == ("10.0.0.7", 9200)
+
+
+def _payload(message):
+    return encode_message(message)[5:]
+
+
+_STEP = _payload(("step", make_epoch(3.0, (1.0, 2.0, 0.0), object_tags=[7, 8])))
+_EVENTS = _payload(
+    ("events", [LocationEvent(3.0, TagId.object(7), (1.0, 2.0, 0.0))])
+)
+
+
+class TestMalformedFrames:
+    """Every decode failure on a shard link is a typed WorkerError — never a
+    raw struct.error or UnpicklingError — and the link is dead after it."""
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (T_STEP, _STEP[:-3]),  # truncated tag vector
+            (T_STEP, _STEP[:10]),  # truncated header
+            (T_STEP, _STEP + b"\x00"),  # trailing bytes
+            (T_EVENTS, _EVENTS[:-5]),  # truncated row
+            (T_EVENTS, _EVENTS + b"\x00"),  # trailing bytes
+            (T_HB, b"\x00"),  # heartbeats carry nothing
+            (T_CONTROL, b"not a pickle"),
+            (T_CONTROL, pickle.dumps(("ok", 1))[:-2]),  # truncated pickle
+            (T_CONTROL, pickle.dumps(("ok", 1)) + b"junk"),  # trailing bytes
+            (T_CONTROL, pickle.dumps(42)),  # not a message tuple
+            (99, b""),  # unknown frame type
+        ],
+        ids=[
+            "step-tags", "step-head", "step-trailing", "events-row",
+            "events-trailing", "hb-payload", "control-garbage",
+            "control-truncated", "control-trailing", "control-not-tuple",
+            "unknown-kind",
+        ],
+    )
+    def test_malformed_frame_is_worker_error(self, kind, payload):
+        ours, theirs = socket.socketpair()
+        conn = FramedConnection(ours)
+        try:
+            theirs.sendall(wrap_frame(kind, payload))
+            with pytest.raises(WorkerError, match="malformed|unknown"):
+                conn.recv()
+            assert not conn.alive
+        finally:
+            conn.close()
+            theirs.close()
+
+    @pytest.mark.parametrize("prefix", [b"\x00\x00\x00\x00", b"\x7f\xff\xff\xff"])
+    def test_bad_length_prefix_is_worker_error(self, prefix):
+        ours, theirs = socket.socketpair()
+        conn = FramedConnection(ours)
+        try:
+            theirs.sendall(prefix + b"\x01")
+            with pytest.raises(WorkerError, match="zero-length|exceeds"):
+                conn.recv()
+        finally:
+            conn.close()
+            theirs.close()
+
+    def test_malformed_reply_marks_the_proxy_dead(self, scenario):
+        """A worker whose reply does not decode is a dead worker: the proxy
+        raises WorkerError (what the supervisor heals) and stops trusting
+        the link."""
+        model, _, config = scenario
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def fake_host():
+            sock, _ = listener.accept()
+            conn = FramedConnection(sock)
+            assert conn.recv()[0] == "boot"
+            conn.send(("ready", None))
+            assert conn.recv() == ("stats",)
+            sock.sendall(wrap_frame(T_EVENTS, _EVENTS[:-1]))
+            try:
+                conn.recv()  # hold the link open until the proxy drops it
+            except EOFError:
+                pass
+            conn.close()
+
+        host = threading.Thread(target=fake_host, daemon=True)
+        host.start()
+        proxy = ShardWorkerProxy(
+            0,
+            config,
+            POLICY,
+            FactoredEngineFactory(model, shared_arena=False),
+            endpoint=f"127.0.0.1:{port}",
+        )
+        try:
+            with pytest.raises(WorkerError, match="malformed EVENTS"):
+                proxy.stats()
+            assert not proxy.is_alive()
+            with pytest.raises(WorkerError, match="not running"):
+                proxy.known_objects()
+        finally:
+            proxy.close()
+            host.join(5.0)
+            listener.close()
+
+
+def wait_reaped(server, process, within_s=HEARTBEAT_GRACE_S):
+    """True once the host has reaped ``process`` (dead and deregistered)."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline:
+        if process not in server.workers and not process.is_alive():
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestShardHostWorkers:
+    """The shard host forks workers straight onto their sockets; nothing
+    relays, so only these contracts keep it from accumulating orphans."""
+
+    def boot(self, server, scenario):
+        model, _, config = scenario
+        return ShardWorkerProxy(
+            0,
+            config,
+            POLICY,
+            FactoredEngineFactory(model, shared_arena=False),
+            endpoint=f"127.0.0.1:{server.port}",
+        )
+
+    def test_idle_peer_is_dropped_before_forking(self, monkeypatch):
+        monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 0.3)
+        with shard_host() as server:
+            peer = socket.create_connection(("127.0.0.1", server.port))
+            peer.settimeout(10.0)
+            try:
+                assert peer.recv(1) == b""  # the host hung up on us
+            finally:
+                peer.close()
+            assert server.workers == []
+
+    def test_force_closed_link_reaps_the_worker(self, scenario):
+        with shard_host() as server:
+            proxy = self.boot(server, scenario)
+            [process] = server.workers
+            proxy.close(force=True)
+            assert wait_reaped(server, process)
+
+    def test_wedged_worker_is_reaped_when_its_link_closes(self, scenario):
+        faults.install(
+            FaultPlan(rules=(FaultRule("worker.step", action="delay", delay_s=60.0),))
+        )
+        try:
+            with shard_host() as server:
+                proxy = self.boot(server, scenario)
+                [process] = server.workers
+                proxy.step_async(make_epoch(1.0, (0.0, 1.0, 0.0)))
+                time.sleep(0.3)  # the worker is now asleep inside its step
+                proxy.close(force=True)
+                assert wait_reaped(server, process)
+        finally:
+            faults.clear()
+
+    def test_shutdown_leaves_no_live_child(self, scenario):
+        server = ShardHostServer()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        proxies = [self.boot(server, scenario) for _ in range(2)]
+        workers = server.workers
+        assert len(workers) == 2
+        server.shutdown()
+        thread.join(5.0)
+        assert not any(process.is_alive() for process in workers)
+        assert server.workers == []
+        for proxy in proxies:
+            proxy.close(force=True)
 
 
 class TestRemoteParity:
